@@ -12,7 +12,10 @@ Every failure prints a single machine-parsable line ``<CATEGORY>: <reason>``.
 The manifest echoes the fully resolved config (all defaults filled in), so
 re-running ``nlgauge run manifest.json`` reproduces the outputs byte for byte.
 Floats are printed with 17 significant digits; the only randomness is the
-seeded field generator of the gauge-check experiment.
+seeded field generator of the gauge-check experiment. ``frames.csv`` is
+written in blocks of ``FRAME_BLOCK_ROWS`` rows, each formatted by one C-level
+``%`` operation; its bytes are pinned by a test against a naive per-value
+writer, not only by rerun determinism.
 """
 
 import argparse
@@ -75,8 +78,14 @@ def list_presets() -> str:
 
 # ---------------------------------------------------------------- config ----
 
+def _object(block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    return block
+
+
 def _require(block: dict, key: str, where: str):
-    if key not in block:
+    if key not in _object(block, where):
         raise ConfigError(f"missing '{key}' in {where}")
     return block[key]
 
@@ -87,6 +96,14 @@ def _finite_number(value, where: str) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 COEFF_KEYS = ("nu1", "nu2", "mu0", "mu1", "mu2", "mu3", "mu4", "mu5",
@@ -104,8 +121,8 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown experiment {exp!r}; expected one of {EXPERIMENTS}")
 
     gblock = _require(raw, "grid", "config")
-    dim = int(_finite_number(_require(gblock, "dimension", "grid block"), "grid.dimension"))
-    n = int(_finite_number(_require(gblock, "n", "grid block"), "grid.n"))
+    dim = _integer(_require(gblock, "dimension", "grid block"), "grid.dimension")
+    n = _integer(_require(gblock, "n", "grid block"), "grid.n")
     length = _finite_number(_require(gblock, "length", "grid block"), "grid.length")
     if exp == "separability" and dim != 1:
         raise ConfigError("separability uses grid.dimension = 1 (the factor grid)")
@@ -118,10 +135,10 @@ def resolve_config(raw: dict) -> dict:
     run = {
         "dt": _finite_number(_require(rblock, "dt", "run block"), "run.dt"),
         "t_final": _finite_number(_require(rblock, "t_final", "run block"), "run.t_final"),
-        "output_every": int(rblock.get("output_every", 1)),
+        "output_every": _integer(rblock.get("output_every", 1), "run.output_every"),
         "rho_floor_rel": _finite_number(rblock.get("rho_floor_rel", 1e-12),
                                         "run.rho_floor_rel"),
-        "seed": int(rblock.get("seed", 0)),
+        "seed": _integer(rblock.get("seed", 0), "run.seed"),
     }
     if run["dt"] <= 0 or run["t_final"] <= 0:
         raise ConfigError("run.dt and run.t_final must be positive")
@@ -137,15 +154,16 @@ def resolve_config(raw: dict) -> dict:
     needs_coeffs = exp in ("evolve", "equivalence", "mixprobe", "separability",
                            "convergence")
     if needs_coeffs:
-        cblock = _require(raw, "coefficients", f"config for {exp}")
+        cblock = _object(_require(raw, "coefficients", f"config for {exp}"),
+                         "coefficients block")
         out["coefficients"] = {
             k: _finite_number(cblock.get(k, 0.0), f"coefficients.{k}")
             for k in COEFF_KEYS
         }
 
     if exp in ("equivalence",) or (exp == "gauge-check" and "gauge" in raw):
-        blk = _require(raw, "gauge", f"config for {exp}") if exp == "equivalence" \
-            else raw["gauge"]
+        blk = _object(raw["gauge"] if exp == "gauge-check" else
+                      _require(raw, "gauge", f"config for {exp}"), "gauge block")
         gauge = {
             "gamma": _finite_number(blk.get("gamma", 0.0), "gauge.gamma"),
             "lambda": _finite_number(blk.get("lambda", 1.0), "gauge.lambda"),
@@ -167,7 +185,7 @@ def resolve_config(raw: dict) -> dict:
             out["initial_state_y"] = _resolve_state_block(
                 raw.get("initial_state_y", out["initial_state"]), exp, length)
     if exp == "gauge-check":
-        out["trials"] = int(raw.get("trials", 100))
+        out["trials"] = _integer(raw.get("trials", 100), "trials")
         if out["trials"] < 1:
             raise ConfigError("trials must be >= 1")
 
@@ -197,11 +215,12 @@ def _resolve_state_block(block, exp: str, length: float) -> dict:
                                        "initial_state.momentum"),
         }
     if preset == "plane-wave":
-        return {"preset": "plane-wave", "mode": int(block.get("mode", 1))}
+        return {"preset": "plane-wave",
+                "mode": _integer(block.get("mode", 1), "initial_state.mode")}
     if preset == "random-nodeless":
         return {
             "preset": "random-nodeless",
-            "max_mode": int(block.get("max_mode", 4)),
+            "max_mode": _integer(block.get("max_mode", 4), "initial_state.max_mode"),
             "log_amp": _finite_number(block.get("log_amp", 0.4),
                                       "initial_state.log_amp"),
             "phase_amp": _finite_number(block.get("phase_amp", 0.4),
@@ -309,27 +328,36 @@ def write_series_csv(path: Path, rows, header=("t", "value")) -> None:
             fh.write(",".join("nan" if v is None else _fmt(v) for v in row) + "\n")
 
 
+# Rows of frames.csv formatted by one ``%`` operation. A block rather than a
+# whole frame bounds the temporaries of one write by the block size, not the
+# grid size, so writing does not raise the peak memory the evolution set.
+FRAME_BLOCK_ROWS = 4096
+
+
 def write_frames_csv(path: Path, traj: Trajectory) -> None:
+    """One row per grid point and frame, row-major in 2D.
+
+    ``"%.17g" % v`` and ``_fmt(v)`` give the same text for every double, so
+    the bytes are those of a per-value writer; the per-value work runs in C.
+    """
     grid = traj.grid
+    axis = np.array([_fmt(v) for v in grid.axis_coordinate()], dtype=object)
+    row = "%s," * (1 + grid.dimension) + "%.17g,%.17g,%.17g\n"
     with open(path, "w", newline="") as fh:
-        if grid.dimension == 1:
-            fh.write("t,x,re,im,rho\n")
-            x = grid.axis_coordinate()
-            for t, frame in zip(traj.times, traj.frames):
-                rho = density(frame)
-                for i in range(grid.n):
-                    fh.write(f"{_fmt(t)},{_fmt(x[i])},{_fmt(frame[i].real)},"
-                             f"{_fmt(frame[i].imag)},{_fmt(rho[i])}\n")
-        else:
-            fh.write("t,x,y,re,im,rho\n")
-            x = grid.axis_coordinate()
-            for t, frame in zip(traj.times, traj.frames):
-                rho = density(frame)
-                for i in range(grid.n):
-                    for j in range(grid.n):
-                        fh.write(f"{_fmt(t)},{_fmt(x[i])},{_fmt(x[j])},"
-                                 f"{_fmt(frame[i, j].real)},{_fmt(frame[i, j].imag)},"
-                                 f"{_fmt(rho[i, j])}\n")
+        fh.write(",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n")
+        for t, frame in zip(traj.times, traj.frames):
+            t_text = _fmt(t)
+            flat = frame.reshape(-1)
+            for start in range(0, grid.npoints, FRAME_BLOCK_ROWS):
+                part = flat[start:start + FRAME_BLOCK_ROWS]
+                index = np.unravel_index(np.arange(start, start + part.size), grid.shape)
+                block = np.empty((part.size, grid.dimension + 4), dtype=object)
+                block[:, 0] = t_text
+                block[:, 1:-3] = axis[np.column_stack(index)]
+                block[:, -3] = part.real
+                block[:, -2] = part.imag
+                block[:, -1] = density(part)
+                fh.write(row * part.size % tuple(block.ravel().tolist()))
 
 
 # ----------------------------------------------------------- experiments ----
@@ -428,10 +456,7 @@ def _run_convergence(cfg, grid, sim, out_dir):
     c = _build_coefficients(cfg)
     finals = []
     for level in range(3):
-        cfg_l = SimulationConfig(dt=sim.dt / 2 ** level, t_final=sim.t_final,
-                                 output_every=sim.output_every * 2 ** level,
-                                 policy=sim.policy, force_dt=sim.force_dt)
-        finals.append(evolve(c, psi0, grid, cfg_l, V).final())
+        finals.append(evolve(c, psi0, grid, sim.refined(2 ** level), V).final())
     errors = [l2_norm(finals[i] - finals[i + 1], grid) for i in range(2)]
     rows = [(sim.dt, errors[0], None)]
     order = float(np.log2(errors[0] / errors[1])) if errors[1] > 0 else float("inf")

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from nlgauge import cli
+from nlgauge.dynamics import Trajectory
+from nlgauge.functionals import density
+from nlgauge.grid import make_grid
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -94,6 +97,67 @@ class TestEvolveExperiment:
         assert head == "t,x,y,re,im,rho"
 
 
+# values whose 17-digit text is easy to get wrong: signed zero, the smallest
+# subnormal, a large exponent, and decimals that need all 17 digits
+AWKWARD = (-0.0, 5e-324, 1e300, 0.1, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0e-5,
+           1.7976931348623157e308, -9.8765432109876543e-200)
+
+
+def reference_frames_csv(traj) -> bytes:
+    """Naive per-cell writer: one ``f"{v:.17g}"`` per value, row by row."""
+    def fmt(v):
+        return f"{float(v):.17g}"
+
+    x = traj.grid.axis_coordinate()
+    if traj.grid.dimension == 1:
+        lines = ["t,x,re,im,rho\n"]
+        coords = [[fmt(a)] for a in x]
+    else:
+        lines = ["t,x,y,re,im,rho\n"]
+        coords = [[fmt(a), fmt(b)] for a in x for b in x]
+    for t, frame in zip(traj.times, traj.frames):
+        rho = density(frame)
+        for coord, v, r in zip(coords, frame.ravel(), rho.ravel()):
+            cells = [fmt(t), *coord, fmt(v.real), fmt(v.imag), fmt(r)]
+            lines.append(",".join(cells) + "\n")
+    return "".join(lines).encode()
+
+
+def awkward_trajectory(dimension, n, seed):
+    grid = make_grid(dimension, n, 7.3)
+    rng = np.random.default_rng(seed)
+    times = np.array([0.0, 0.1, 1.0 / 3.0])
+    frames = []
+    for _ in times:
+        mags = 10.0 ** rng.uniform(-320.0, 300.0, size=(2, grid.npoints))
+        parts = rng.standard_normal((2, grid.npoints)) * mags
+        parts[:, :len(AWKWARD)] = AWKWARD
+        parts[:, -len(AWKWARD):] = AWKWARD[::-1]
+        frames.append((parts[0] + 1j * parts[1]).reshape(grid.shape))
+    ones = np.ones(len(times))
+    return Trajectory(grid, times, frames, ones, 0.0 * ones)
+
+
+class TestFramesBytes:
+    """frames.csv is pinned byte for byte to a naive per-cell writer."""
+
+    # |1e300|^2 and its like overflow to inf in rho, which is part of the check
+    pytestmark = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+
+    def test_1d_matches_reference(self, tmp_path):
+        traj = awkward_trajectory(1, 16, seed=0)
+        cli.write_frames_csv(tmp_path / "frames.csv", traj)
+        assert (tmp_path / "frames.csv").read_bytes() == reference_frames_csv(traj)
+
+    def test_2d_matches_reference(self, tmp_path):
+        traj = awkward_trajectory(2, 96, seed=1)
+        # several blocks per frame, the last one partial
+        assert traj.grid.npoints > cli.FRAME_BLOCK_ROWS
+        assert traj.grid.npoints % cli.FRAME_BLOCK_ROWS != 0
+        cli.write_frames_csv(tmp_path / "frames.csv", traj)
+        assert (tmp_path / "frames.csv").read_bytes() == reference_frames_csv(traj)
+
+
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert cli.run(tmp_path / "nope.json", tmp_path / "out") == 2
@@ -117,6 +181,36 @@ class TestConfigErrors:
         cfg = base_evolve_config(grid={"dimension": 1, "n": 63, "length": 20.0})
         assert cli.run(write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert "CONFIG_ERROR" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("overrides", [
+        {"run": {"dt": 1e-3, "t_final": 0.02, "output_every": None}},
+        {"run": {"dt": 1e-3, "t_final": 0.02, "output_every": 2.5}},
+        {"run": {"dt": 1e-3, "t_final": 0.02, "seed": [7]}},
+        {"grid": {"dimension": 1, "n": "64", "length": 20.0}},
+        {"initial_state": {"preset": "random-nodeless", "max_mode": None}},
+        {"initial_state": {"preset": "plane-wave", "mode": [2]}},
+        {"grid": 5},
+        {"run": [1e-3, 0.02]},
+        {"coefficients": [-0.5]},
+        {"experiment": "gauge-check", "trials": None},
+        {"experiment": "gauge-check", "gauge": 5},
+    ])
+    def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys,
+                                                      overrides):
+        out_dir = tmp_path / "out"
+        code = cli.run(write_config(tmp_path, base_evolve_config(**overrides)), out_dir)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: ")
+        assert not out_dir.exists()
+
+    def test_integral_float_fields_accepted(self, tmp_path):
+        cfg = base_evolve_config(
+            run={"dt": 1e-3, "t_final": 0.02, "output_every": 10.0, "seed": 7.0})
+        out_dir = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, cfg), out_dir) == 0
+        run = json.loads((out_dir / "manifest.json").read_text())["config"]["run"]
+        assert run["output_every"] == 10 and isinstance(run["output_every"], int)
 
     def test_unknown_experiment(self, tmp_path):
         cfg = base_evolve_config(experiment="fly-to-the-moon")

@@ -93,9 +93,16 @@ def _require(block: dict, key: str, where: str):
 def _finite_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        value = float(value)  # a JSON integer beyond the double range overflows
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a double") from None
     if not np.isfinite(value):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return value
+
+
+INT64 = np.iinfo(np.int64)
 
 
 def _integer(value, where: str) -> int:
@@ -103,6 +110,8 @@ def _integer(value, where: str) -> int:
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if not INT64.min <= value <= INT64.max:
+        raise ConfigError(f"{where} is outside the int64 range")
     return value
 
 
@@ -485,7 +494,8 @@ def run(config_path, out_dir, force_dt: bool = False) -> int:
     except FileNotFoundError:
         print(f"CONFIG_ERROR: config file not found: {config_path}")
         return 2
-    except json.JSONDecodeError as err:
+    except ValueError as err:
+        # JSONDecodeError, and integer literals beyond Python's digit limit
         print(f"CONFIG_ERROR: invalid JSON: {err}")
         return 2
     try:

@@ -10,6 +10,18 @@ the i*nu2 one acts as a real multiplier and conserves the norm pointwise; the
 nu2 term adds 2*nu2*lap(rho) to d/dt rho, whose integral vanishes on the
 periodic box. Hence the norm is conserved for every coefficient setting.
 
+:func:`rhs` evaluates all terms from one batched spectral pass: one forward
+transform of the stacked [psi, rho], one inverse transform of the stacked
+derivative spectra [lap psi, grad psi, lap rho, grad rho] (each block only
+when a term needs it), and for R1 one forward transform of the stacked
+current components and one inverse of div J, summed over axes in k-space.
+That is at most four transform calls per evaluation in 1D and 2D alike. All
+terms except i*nu2*R2 are summed into one real field m, the density-floor
+gate is folded once into 1/rho, and the result is
+-i (nu1 lap psi + (m + i nu2 R2) psi). :func:`nlgauge.functionals.functional_R`
+computes each quotient on its own, with separate transforms, and is kept as
+the independent oracle that the tests compare :func:`rhs` against.
+
 Integration is classical RK4, uniform across the family. The linear equation
 has an exact split-step propagator (exact to rounding when V == 0) used as the
 oracle for linearizability experiments.
@@ -116,80 +128,134 @@ def stability_bound(c: NLSECoefficients, grid: GridSpec) -> float:
     return 0.2 * dx2 / max(abs(c.nu1), abs(c.nu2), dx2)
 
 
+def _forward(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Forward transform of each row of a stack over the grid axes; a
+    complex stack is transformed in place."""
+    if grid.dimension == 1:
+        return _fft.fft(rows, overwrite_x=True)
+    return _fft.fftn(rows, axes=(-2, -1), overwrite_x=True)
+
+
+def _inverse(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Inverse of :func:`_forward`, in place."""
+    if grid.dimension == 1:
+        return _fft.ifft(rows, overwrite_x=True)
+    return _fft.ifftn(rows, axes=(-2, -1), overwrite_x=True)
+
+
+def _derivatives(psi: np.ndarray, rho: np.ndarray | None, grid: GridSpec,
+                 grad_psi: bool, lap_rho: bool, grad_rho: bool) -> np.ndarray:
+    """Stack of [lap psi, grad psi, lap rho, grad rho] (each block only when
+    asked for) from one forward transform of the stacked [psi, rho] and one
+    inverse transform of the stacked derivative spectra."""
+    with_rho = lap_rho or grad_rho
+    fwd = np.empty((1 + with_rho,) + grid.shape, complex)
+    fwd[0] = psi
+    if with_rho:
+        fwd[1] = rho
+    spec = _forward(fwd, grid)
+    lap, ik = grid.laplacian_symbol, grid.ik
+    pairs = [(spec[0], lap)]
+    if grad_psi:
+        pairs += [(spec[0], k) for k in ik]
+    if lap_rho:
+        pairs.append((spec[1], lap))
+    if grad_rho:
+        pairs += [(spec[1], k) for k in ik]
+    out = np.empty((len(pairs),) + grid.shape, complex)
+    for row, (f_k, mult) in zip(out, pairs):
+        np.multiply(f_k, mult, out=row)
+    return _inverse(out, grid)
+
+
 def rhs(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec,
         V: np.ndarray | None = None,
         policy: RegularizationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """d/dt psi for the family; shares FFTs across the functional terms."""
-    psi_k = _fft.fftn(psi)
-    lap_psi = _fft.ifftn(-grid.k_squared_total * psi_k)
-    h = c.nu1 * lap_psi
-    if c.mu0 != 0.0 and V is not None:
-        h = h + c.mu0 * V * psi
-
-    need_rho_derivs = c.nu2 != 0.0 or c.mu2 != 0.0 or c.mu4 != 0.0 or c.mu5 != 0.0
+    """d/dt psi for the family from one batched spectral pass (module doc)."""
+    need_lap_rho = c.nu2 != 0.0 or c.mu2 != 0.0
+    need_grad_rho = c.mu4 != 0.0 or c.mu5 != 0.0
     need_j = c.mu1 != 0.0 or c.mu3 != 0.0 or c.mu4 != 0.0
-    need_rho = need_rho_derivs or need_j or c.alpha1 != 0.0
+    need_quot = need_lap_rho or need_grad_rho or need_j
+    dim = grid.dimension
 
-    if need_rho:
+    rho = None
+    if need_quot or c.alpha1 != 0.0 or c.alpha2 != 0.0:
         rho = density(psi)
         eps = policy.floor(rho)
         rho_s = np.maximum(rho, eps)
+        valid = rho > eps
+    if need_quot:
         # Below the floor the quotient numerators (spectral globals) do not
         # shrink with the local density, so numerator/eps would pump invisible
-        # tail amplitudes until they blow up. The quotient terms are switched
-        # off there; on a nodeless state the gate never engages.
-        valid = rho > eps
-        gate = None if valid.all() else valid.astype(float)
+        # tail amplitudes until they blow up. The gate folded into 1/rho
+        # switches the quotient terms off there; on a nodeless state it never
+        # engages.
+        inv_rho = 1.0 / rho_s
+        if not valid.all():
+            inv_rho *= valid
 
-    def _gated(field):
-        return field if gate is None else field * gate
-
-    if need_rho_derivs:
-        rho_k = _fft.fftn(rho)
-        lap_rho = _fft.ifftn(-grid.k_squared_total * rho_k).real
-        if c.nu2 != 0.0 or c.mu2 != 0.0:
-            r2 = _gated(lap_rho / rho_s)
-            if c.nu2 != 0.0:
-                h = h + 1j * c.nu2 * r2 * psi
-            if c.mu2 != 0.0:
-                h = h + c.mu2 * r2 * psi
-        if c.mu4 != 0.0 or c.mu5 != 0.0:
-            grad_rho = [
-                _fft.ifftn(1j * grid.wavenumbers(a, zero_nyquist=True) * rho_k).real
-                for a in range(grid.dimension)
-            ]
-            if c.mu5 != 0.0:
-                r5 = _gated(sum(g * g for g in grad_rho) / rho_s ** 2)
-                h = h + c.mu5 * r5 * psi
-
+    derivs = _derivatives(psi, rho, grid, need_j, need_lap_rho, need_grad_rho)
+    h = c.nu1 * derivs[0]
+    i = 1
     if need_j:
-        jvec = [
-            -2.0 * c.nu1 * np.imag(
-                np.conj(psi)
-                * _fft.ifftn(1j * grid.wavenumbers(a, zero_nyquist=True) * psi_k))
-            for a in range(grid.dimension)
-        ]
-        if c.mu1 != 0.0:
-            div_j = np.zeros(grid.shape)
-            for a in range(grid.dimension):
-                div_j += _fft.ifftn(
-                    1j * grid.wavenumbers(a, zero_nyquist=True) * _fft.fftn(jvec[a])).real
-            h = h + c.mu1 * _gated(div_j / rho_s) * psi
+        jvec = (-2.0 * c.nu1) * np.imag(np.conj(psi) * derivs[i:i + dim])
+        i += dim
+    if need_lap_rho:
+        r2 = derivs[i].real * inv_rho
+        i += 1
+    if need_grad_rho:
+        grad_rho_over_rho = derivs[i:i + dim].real * inv_rho
+    del derivs  # no view into the stack is kept; free it before the J transforms
+
+    # every term but i*nu2*R2 multiplies psi by one real field m
+    m = None
+    if c.mu1 != 0.0:
+        ik = grid.ik
+        j_k = _forward(jvec, grid)
+        div_k = j_k[0]
+        div_k *= ik[0]
+        for a in range(1, dim):
+            div_k += ik[a] * j_k[a]
+        m = _add(m, c.mu1 * _inverse(div_k, grid).real * inv_rho)
+    if c.mu2 != 0.0:
+        m = _add(m, c.mu2 * r2)
+    if c.mu3 != 0.0 or c.mu4 != 0.0:
+        j_over_rho = jvec * inv_rho
         if c.mu3 != 0.0:
-            r3 = _gated(sum(j * j for j in jvec) / rho_s ** 2)
-            h = h + c.mu3 * r3 * psi
+            m = _add(m, c.mu3 * _dot(j_over_rho, j_over_rho))
         if c.mu4 != 0.0:
-            r4 = _gated(sum(j * g for j, g in zip(jvec, grad_rho)) / rho_s ** 2)
-            h = h + c.mu4 * r4 * psi
-
+            m = _add(m, c.mu4 * _dot(j_over_rho, grad_rho_over_rho))
+    if c.mu5 != 0.0:
+        m = _add(m, c.mu5 * _dot(grad_rho_over_rho, grad_rho_over_rho))
     if c.alpha1 != 0.0:
-        h = h + c.alpha1 * np.log(rho_s) * psi
+        m = _add(m, c.alpha1 * np.log(rho_s))
     if c.alpha2 != 0.0:
-        rho_a2 = density(psi) if not need_rho else rho
-        valid = rho_a2 > policy.floor(rho_a2)
-        h = h + c.alpha2 * unwrap_phase(psi, valid=valid) * psi
+        m = _add(m, c.alpha2 * unwrap_phase(psi, valid=valid))
+    if c.mu0 != 0.0 and V is not None:
+        m = _add(m, c.mu0 * V)  # last: V may be a broadcastable field
 
-    return -1j * h
+    if c.nu2 != 0.0:
+        m = 1j * c.nu2 * r2 if m is None else m + 1j * c.nu2 * r2
+    if m is not None:
+        h += m * psi
+    h *= -1j
+    return h
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise dot product of two per-axis stacked vector fields."""
+    out = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out += x * y
+    return out
+
+
+def _add(total, term):
+    """total + term, in place on total (a fresh full-shape array here)."""
+    if total is None:
+        return term
+    total += term
+    return total
 
 
 def step_rk4(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec, dt: float,

@@ -96,23 +96,40 @@ def _carry_over_invalid(s: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return flat_s[idx].reshape(s.shape)
 
 
+def _unwrap_rows(p: np.ndarray) -> np.ndarray:
+    """``np.unwrap(p, axis=-1)`` with the same arithmetic, minus its generic
+    set-up: the 2*pi-correction is only evaluated at the steps that need one."""
+    dd = p[..., 1:] - p[..., :-1]
+    jump = ~(np.abs(dd) < np.pi)
+    correction = np.zeros(dd.shape)
+    if jump.any():
+        d = dd[jump]
+        dmod = np.mod(d + np.pi, 2 * np.pi) - np.pi
+        dmod[(dmod == -np.pi) & (d > 0)] = np.pi
+        correction[jump] = dmod - d
+    out = p.copy()
+    out[..., 1:] += correction.cumsum(axis=-1)
+    return out
+
+
 def unwrap_phase(psi: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
     """Unwrapped argument of psi, anchored at the density maximum.
 
     1D: a single pass of 2*pi-adjustments along the axis. 2D: unwrap the
     anchor column along axis 0, then each row along axis 1, then rebase.
-    Where ``valid`` is False the value is carried over from the nearest
-    previous valid point of the scan.
+    The anchor is the first maximum of ``|psi|``. Where ``valid`` is False
+    the value is carried over from the nearest previous valid point of the
+    scan.
     """
-    ang = np.angle(psi)
-    rho = np.abs(psi)
-    anchor = np.unravel_index(int(np.argmax(rho)), psi.shape)
+    ang = np.arctan2(psi.imag, psi.real)
+    flat_anchor = int(np.abs(psi).argmax())
     if psi.ndim == 1:
-        s = np.unwrap(ang)
-        s += ang[anchor] - s[anchor]
+        s = _unwrap_rows(ang)
+        s += ang[flat_anchor] - s[flat_anchor]
     elif psi.ndim == 2:
-        s = np.unwrap(ang, axis=1)
-        col = np.unwrap(ang[:, anchor[1]])
+        anchor = np.unravel_index(flat_anchor, psi.shape)
+        s = _unwrap_rows(ang)
+        col = _unwrap_rows(ang[:, anchor[1]])
         s += (col - s[:, anchor[1]])[:, None]
         s += ang[anchor] - s[anchor]
     else:

@@ -73,6 +73,18 @@ class GridSpec:
             total = total + self.wavenumbers(axis) ** 2
         return total
 
+    @cached_property
+    def laplacian_symbol(self) -> np.ndarray:
+        """-k_squared_total, the Fourier multiplier of the Laplacian."""
+        return -self.k_squared_total
+
+    @cached_property
+    def ik(self) -> tuple:
+        """Per-axis Fourier multipliers 1j*k of d/dx_axis (Nyquist zeroed),
+        each in broadcast shape."""
+        return tuple(1j * self.wavenumbers(a, zero_nyquist=True)
+                     for a in range(self.dimension))
+
 
 def make_grid(dimension: int, n: int, length: float) -> GridSpec:
     """Build a validated periodic grid.

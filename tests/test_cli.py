@@ -194,6 +194,8 @@ class TestConfigErrors:
         {"coefficients": [-0.5]},
         {"experiment": "gauge-check", "trials": None},
         {"experiment": "gauge-check", "gauge": 5},
+        {"coefficients": {"nu1": -0.5, "nu2": 10 ** 400}},
+        {"initial_state": {"preset": "plane-wave", "mode": 10 ** 30}},
     ])
     def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys,
                                                       overrides):
@@ -201,6 +203,18 @@ class TestConfigErrors:
         code = cli.run(write_config(tmp_path, base_evolve_config(**overrides)), out_dir)
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: ")
+        assert not out_dir.exists()
+
+    def test_integer_literal_beyond_digit_limit(self, tmp_path, capsys):
+        # json.loads refuses integer literals of more than 4300 digits with a
+        # plain ValueError rather than a JSONDecodeError
+        text = json.dumps(base_evolve_config()).replace('"seed": 7', '"seed": ' + "1" * 5000)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        assert cli.run(path, out_dir) == 2
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: ")
         assert not out_dir.exists()
 

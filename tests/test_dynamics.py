@@ -64,6 +64,100 @@ class TestRHS:
         assert np.max(np.abs(out - (-1j) * h)) < 1e-11
 
 
+    def test_matches_functional_composition_2d(self):
+        # 2D twin on a non-product state: the cross terms in u and s make
+        # every mixed derivative and both current components nonzero
+        grid = ng.make_grid(2, 32, 20.0)
+        c = NLSECoefficients(nu1=-0.5, nu2=0.04, mu0=0.8, mu1=0.1, mu2=-0.05,
+                             mu3=0.07, mu4=0.03, mu5=-0.02, alpha1=0.1,
+                             alpha2=0.05)
+        psi = non_product_packet(grid)
+        V = ng.states.harmonic_potential(grid, omega=0.5)
+        out = ng.rhs(c, psi, grid, V)
+        assert np.max(np.abs(out - composed_rhs(c, psi, grid, V))) < 1e-11
+
+    def test_gated_points_match_masked_functionals(self, grid64):
+        # points with 0 < rho <= eps: the quotient terms are switched off
+        # there, while the linear, log and alpha2 terms are not gated
+        psi = trig_packet(grid64)
+        psi[40:52] *= 1e-7
+        c = NLSECoefficients(nu1=-0.5, nu2=0.04, mu0=0.8, mu1=0.1, mu2=-0.05,
+                             mu3=0.07, mu4=0.03, mu5=-0.02, alpha1=0.1,
+                             alpha2=0.05)
+        rho = ng.density(psi)
+        mask = rho > ng.DEFAULT_POLICY.floor(rho)
+        assert ng.DEFAULT_POLICY.regularized_fraction(rho) > 0
+        assert np.all(psi[~mask] != 0)
+        V = ng.states.harmonic_potential(grid64, omega=0.5)
+        out = ng.rhs(c, psi, grid64, V)
+        expect = composed_rhs(c, psi, grid64, V, mask=mask)
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(out - expect)) < 1e-13 * scale
+        # without the gate the quotient terms would swamp the floored points
+        ungated = composed_rhs(c, psi, grid64, V)
+        assert np.max(np.abs(ungated - expect)[~mask]) > 1e3 * np.max(
+            np.abs(expect[~mask]))
+
+    def test_alpha2_anchor_is_first_max_of_modulus(self, grid64):
+        # Two top values whose order under |psi| differs from their order
+        # under re^2 + im^2, on a phase ramp that wraps between them: an
+        # anchor taken from the squared density would pick another 2*pi
+        # branch for the whole alpha2 term.
+        x = grid64.axis_coordinate()
+        psi = 0.3 * np.exp(1j * 3 * 2 * np.pi * x / grid64.length)
+        first, second = modulus_order_split_pair(np.random.default_rng(7))
+        psi[10], psi[40] = first, second
+        anchor = int(np.argmax(np.abs(psi)))
+        assert anchor != int(np.argmax(psi.real ** 2 + psi.imag ** 2))
+        phase = ng.unwrap_phase(psi)
+        assert phase[anchor] == np.angle(psi[anchor])
+        other = 50 - anchor
+        assert abs(phase[other] - np.angle(psi[other])) > 6.0
+        c_lin = NLSECoefficients(nu1=-0.5)
+        c_a2 = NLSECoefficients(nu1=-0.5, alpha2=0.3)
+        diff = ng.rhs(c_a2, psi, grid64) - ng.rhs(c_lin, psi, grid64)
+        assert np.max(np.abs(diff - (-1j) * c_a2.alpha2 * phase * psi)) < 1e-13
+
+
+def non_product_packet(grid):
+    """Normalized nodeless 2D state whose log-modulus and phase both carry
+    terms in x + y and x - 2y, so it is not a product of 1D factors."""
+    x, y = grid.coordinates()
+    k = 2 * np.pi / grid.length
+    u = -0.6 * (2.0 - np.cos(k * (x - grid.length / 2))
+                - np.cos(k * (y - grid.length / 2))) + 0.2 * np.cos(k * (x + y))
+    s = 0.3 * np.sin(k * x) + 0.2 * np.cos(k * (x - 2 * y)) - 0.1 * np.sin(k * y)
+    psi = np.exp(u + 1j * s)
+    return psi / ng.l2_norm(psi, grid)
+
+
+def composed_rhs(c, psi, grid, V, mask=None):
+    """The family's rhs assembled from the public functionals; quotient
+    terms are multiplied by ``mask`` when one is given."""
+    quot = 1j * c.nu2 * ng.functional_R(2, psi, grid, c.nu1)
+    for i, mu in enumerate([c.mu1, c.mu2, c.mu3, c.mu4, c.mu5], start=1):
+        quot = quot + mu * ng.functional_R(i, psi, grid, c.nu1)
+    if mask is not None:
+        quot = quot * mask
+    rho = ng.density(psi)
+    h = c.nu1 * ng.laplacian(psi, grid) + c.mu0 * V * psi + quot * psi
+    h = h + c.alpha1 * np.log(np.maximum(rho, 1e-12 * rho.max())) * psi
+    h = h + c.alpha2 * ng.modulus_phase(psi).phase * psi
+    return -1j * h
+
+
+def modulus_order_split_pair(rng):
+    """Two complex numbers of modulus about 0.8, in an order in which the
+    first maximum of |z| and the first maximum of re^2 + im^2 differ."""
+    z = 0.8 * np.exp(2j * np.pi * rng.random(1 << 14))
+    mod, sq = np.abs(z), z.real ** 2 + z.imag ** 2
+    order = np.argsort(mod, kind="stable")
+    for p, q in zip(order[:-1], order[1:]):
+        if (mod[p] < mod[q] and sq[p] >= sq[q]) or (mod[p] == mod[q] and sq[p] < sq[q]):
+            return z[p], z[q]
+    raise AssertionError("no pair found")
+
+
 class TestStepRK4:
     def test_zero_dt_is_identity(self, grid64, packet64):
         out = ng.step_rk4(NLSECoefficients(), packet64, grid64, 0.0)

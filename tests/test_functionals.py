@@ -13,6 +13,20 @@ def plane_wave_raw(grid, mode=1):
     return np.exp(1j * k * grid.axis_coordinate()), k
 
 
+def unwrap_reference(psi):
+    """unwrap_phase spelled out with np.unwrap."""
+    ang = np.angle(psi)
+    anchor = np.unravel_index(int(np.argmax(np.abs(psi))), psi.shape)
+    if psi.ndim == 1:
+        s = np.unwrap(ang)
+    else:
+        s = np.unwrap(ang, axis=1)
+        col = np.unwrap(ang[:, anchor[1]])
+        s += (col - s[:, anchor[1]])[:, None]
+    s += ang[anchor] - s[anchor]
+    return s
+
+
 class TestDensity:
     def test_plane_wave(self, grid64):
         psi, _ = plane_wave_raw(grid64)
@@ -91,6 +105,16 @@ class TestModulusPhase:
         assert pair.regularized_fraction > 0.0
         assert pair.has_regularized_points
         assert np.all(np.isfinite(pair.phase))
+
+    @pytest.mark.parametrize("shape", [(64,), (24, 40)])
+    def test_unwrap_matches_numpy_unwrap(self, rng, shape):
+        # equal to the last bit: random phase walks with many 2*pi jumps, and
+        # the quarter-turn values whose steps are exactly +-pi or 3*pi/2
+        walk = np.exp(1j * np.cumsum(rng.normal(0.0, 2.0, size=shape), axis=-1))
+        walk *= rng.uniform(0.5, 1.5, size=shape)
+        quarter = rng.choice(np.array([1.0, -1.0, 1j, -1j, 2.0, -2.0j]), size=shape)
+        for psi in (walk, quarter):
+            assert np.array_equal(ng.unwrap_phase(psi), unwrap_reference(psi))
 
     def test_2d_product_phase_is_additive(self):
         grid = ng.make_grid(1, 32, 10.0)

@@ -7,15 +7,18 @@ Usage:
 
 Exit status: 0 success, 2 config error, 3 numerical failure (NaN/blow-up),
 4 invariant violation (e.g. the same-kernel precondition of mixprobe).
-Every failure prints a single machine-parsable line ``<CATEGORY>: <reason>``.
+Every failure prints a single machine-parsable line ``<CATEGORY>: <reason>``
+and writes nothing: the output directory is made with the first file.
 
-The manifest echoes the fully resolved config (all defaults filled in), so
-re-running ``nlgauge run manifest.json`` reproduces the outputs byte for byte.
-Floats are printed with 17 significant digits; the only randomness is the
-seeded field generator of the gauge-check experiment. ``frames.csv`` is
-written in blocks of ``FRAME_BLOCK_ROWS`` rows, each formatted by one C-level
-``%`` operation; its bytes are pinned by a test against a naive per-value
-writer, not only by rerun determinism.
+Config handling is table-driven: the rows of each block, preset, potential
+and experiment validate a config, fill its defaults, list the ``presets`` and
+pick the builders. The manifest echoes the fully resolved config (all
+defaults filled in), so re-running ``nlgauge run manifest.json`` reproduces
+the outputs byte for byte. Floats are printed with 17 significant digits; the
+only randomness is the seeded field generator of the gauge-check experiment.
+``frames.csv`` is written in blocks of ``FRAME_BLOCK_ROWS`` rows, each
+formatted by one C-level ``%`` operation; its bytes are pinned by a test
+against a naive per-value writer, not only by rerun determinism.
 """
 
 import argparse
@@ -41,42 +44,17 @@ class ConfigError(ValueError):
     pass
 
 
-EXPERIMENTS = ("evolve", "gauge-check", "equivalence", "mixprobe",
-               "separability", "convergence")
-
-PRESET_DOC = {
-    "initial states": [
-        "gaussian(center=L/2, width=L/40, momentum=0.0)"
-        "  - normalized packet exp(-(x-c)^2/(4w^2) + i k (x-c));"
-        " on the periodic box pick momentum a multiple of 2*pi/L",
-        "plane-wave(mode=1)  - exp(i 2 pi mode x / L) / sqrt(L)",
-        "random-nodeless(max_mode=4, log_amp=0.4, phase_amp=0.4)"
-        "  - seeded band-limited exp(u+is), strictly nodeless, zero winding",
-        "two-gaussian(separation=L/4, width=L/32)"
-        "  - orthonormalized displaced pair; mixprobe rotates it by 'angle'",
-    ],
-    "potentials": [
-        "file(path)  - one V value per line, grid layout (row-major in 2D)",
-        "harmonic(omega=1.0, center=L/2)  - (omega^2/2) |x - c|^2",
-        "none  - free evolution",
-    ],
-}
-
-
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def list_presets() -> str:
-    lines = []
-    for section in sorted(PRESET_DOC):
-        lines.append(f"{section}:")
-        for entry in sorted(PRESET_DOC[section]):
-            lines.append(f"  {entry}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------- config ----
+#
+# Each config block is written once, as rows (key, kind, default) that
+# validate it, fill its defaults, list the presets and feed the builders.
+# Kinds: number (finite), integer (int64), positive, count (integer >= 1),
+# nonzero and path. A default of None makes the key required; "L/d" is
+# grid.length / d, divided so that L/40 is the same double as length / 40.
 
 def _object(block, where: str) -> dict:
     if not isinstance(block, dict):
@@ -90,229 +68,72 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
-def _finite_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        value = float(value)  # a JSON integer beyond the double range overflows
-    except OverflowError:
-        raise ConfigError(f"{where} is too large for a double") from None
-    if not np.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return value
-
-
 INT64 = np.iinfo(np.int64)
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if not INT64.min <= value <= INT64.max:
-        raise ConfigError(f"{where} is outside the int64 range")
+def _value(value, kind: str, where: str):
+    """One field checked against its kind; the number kinds come back as float."""
+    if kind == "path":
+        return str(value)
+    if kind in ("integer", "count"):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if not INT64.min <= value <= INT64.max:
+            raise ConfigError(f"{where} is outside the int64 range")
+    else:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        try:
+            value = float(value)  # a JSON integer beyond the double range overflows
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for a double") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+    if kind == "positive" and not value > 0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    if kind == "count" and value < 1:
+        raise ConfigError(f"{where} must be >= 1, got {value!r}")
+    if kind == "nonzero" and value == 0:
+        raise ConfigError(f"{where} must be nonzero")
     return value
+
+
+def _fields(block, rows, where: str, length: float | None = None) -> dict:
+    """Resolve the ``rows`` of one block; ``where`` names the block in error
+    lines ('' for fields of the config root)."""
+    _object(block, f"{where} block")
+    out = {}
+    for key, kind, default in rows:
+        name = f"{where}.{key}" if where else key
+        if key in block:
+            value = block[key]
+        elif default is None:
+            raise ConfigError(f"missing '{name}'")
+        elif isinstance(default, str):  # "L/d"
+            value = length / float(default[2:])
+        else:
+            value = default
+        out[key] = _value(value, kind, name)
+    return out
 
 
 COEFF_KEYS = ("nu1", "nu2", "mu0", "mu1", "mu2", "mu3", "mu4", "mu5",
               "alpha1", "alpha2")
 
-
-def resolve_config(raw: dict) -> dict:
-    """Validate and fill defaults; returns the fully resolved config dict."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    if isinstance(raw.get("config"), dict):
-        raw = raw["config"]  # accept an emitted manifest as a config
-    exp = _require(raw, "experiment", "config")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {exp!r}; expected one of {EXPERIMENTS}")
-
-    gblock = _require(raw, "grid", "config")
-    dim = _integer(_require(gblock, "dimension", "grid block"), "grid.dimension")
-    n = _integer(_require(gblock, "n", "grid block"), "grid.n")
-    length = _finite_number(_require(gblock, "length", "grid block"), "grid.length")
-    if exp == "separability" and dim != 1:
-        raise ConfigError("separability uses grid.dimension = 1 (the factor grid)")
-    try:
-        make_grid(dim, n, length)
-    except ValueError as err:
-        raise ConfigError(f"grid block: {err}") from None
-
-    rblock = _require(raw, "run", "config")
-    run = {
-        "dt": _finite_number(_require(rblock, "dt", "run block"), "run.dt"),
-        "t_final": _finite_number(_require(rblock, "t_final", "run block"), "run.t_final"),
-        "output_every": _integer(rblock.get("output_every", 1), "run.output_every"),
-        "rho_floor_rel": _finite_number(rblock.get("rho_floor_rel", 1e-12),
-                                        "run.rho_floor_rel"),
-        "seed": _integer(rblock.get("seed", 0), "run.seed"),
-    }
-    if run["dt"] <= 0 or run["t_final"] <= 0:
-        raise ConfigError("run.dt and run.t_final must be positive")
-    if run["output_every"] < 1:
-        raise ConfigError("run.output_every must be >= 1")
-
-    out = {
-        "experiment": exp,
-        "grid": {"dimension": dim, "n": n, "length": length},
-        "run": run,
-    }
-
-    needs_coeffs = exp in ("evolve", "equivalence", "mixprobe", "separability",
-                           "convergence")
-    if needs_coeffs:
-        cblock = _object(_require(raw, "coefficients", f"config for {exp}"),
-                         "coefficients block")
-        out["coefficients"] = {
-            k: _finite_number(cblock.get(k, 0.0), f"coefficients.{k}")
-            for k in COEFF_KEYS
-        }
-
-    if exp in ("equivalence",) or (exp == "gauge-check" and "gauge" in raw):
-        blk = _object(raw["gauge"] if exp == "gauge-check" else
-                      _require(raw, "gauge", f"config for {exp}"), "gauge block")
-        gauge = {
-            "gamma": _finite_number(blk.get("gamma", 0.0), "gauge.gamma"),
-            "lambda": _finite_number(blk.get("lambda", 1.0), "gauge.lambda"),
-            "theta_const": _finite_number(blk.get("theta_const", 0.0),
-                                          "gauge.theta_const"),
-        }
-        if gauge["lambda"] == 0.0:
-            raise ConfigError("gauge.lambda must be nonzero")
-        if exp == "equivalence" and gauge["theta_const"] != 0.0:
-            raise ConfigError("equivalence requires theta_const = 0")
-        out["gauge"] = gauge
-
-    needs_state = exp in ("evolve", "equivalence", "mixprobe", "separability",
-                          "convergence")
-    if needs_state:
-        out["initial_state"] = _resolve_state_block(
-            _require(raw, "initial_state", f"config for {exp}"), exp, length)
-        if exp == "separability":
-            out["initial_state_y"] = _resolve_state_block(
-                raw.get("initial_state_y", out["initial_state"]), exp, length)
-    if exp == "gauge-check":
-        out["trials"] = _integer(raw.get("trials", 100), "trials")
-        if out["trials"] < 1:
-            raise ConfigError("trials must be >= 1")
-
-    if exp in ("evolve", "equivalence", "convergence"):
-        out["potential"] = _resolve_potential_block(raw.get("potential"), length)
-    if exp == "separability":
-        out["potential"] = _resolve_potential_block(raw.get("potential"), length)
-        out["potential_y"] = _resolve_potential_block(raw.get("potential_y"), length)
-    if exp == "mixprobe":
-        out["angle"] = _finite_number(raw.get("angle", np.pi / 4), "angle")
-
-    return out
+GRID = (("dimension", "integer", None), ("n", "integer", None),
+        ("length", "number", None))
+RUN = (("dt", "positive", None), ("t_final", "positive", None),
+       ("output_every", "count", 1), ("rho_floor_rel", "number", 1e-12),
+       ("seed", "integer", 0))
+COEFFICIENTS = tuple((key, "number", 0.0) for key in COEFF_KEYS)
+GAUGE = (("gamma", "number", 0.0), ("lambda", "nonzero", 1.0),
+         ("theta_const", "number", 0.0))
 
 
-def _resolve_state_block(block, exp: str, length: float) -> dict:
-    if not isinstance(block, dict):
-        raise ConfigError("initial_state must be an object with a 'preset' key")
-    preset = _require(block, "preset", "initial_state block")
-    if preset == "gaussian":
-        return {
-            "preset": "gaussian",
-            "center": _finite_number(block.get("center", length / 2),
-                                     "initial_state.center"),
-            "width": _finite_number(block.get("width", length / 40),
-                                    "initial_state.width"),
-            "momentum": _finite_number(block.get("momentum", 0.0),
-                                       "initial_state.momentum"),
-        }
-    if preset == "plane-wave":
-        return {"preset": "plane-wave",
-                "mode": _integer(block.get("mode", 1), "initial_state.mode")}
-    if preset == "random-nodeless":
-        return {
-            "preset": "random-nodeless",
-            "max_mode": _integer(block.get("max_mode", 4), "initial_state.max_mode"),
-            "log_amp": _finite_number(block.get("log_amp", 0.4),
-                                      "initial_state.log_amp"),
-            "phase_amp": _finite_number(block.get("phase_amp", 0.4),
-                                        "initial_state.phase_amp"),
-        }
-    if preset == "two-gaussian":
-        if exp not in ("mixprobe", "evolve"):
-            raise ConfigError(f"two-gaussian preset is not valid for {exp}")
-        return {
-            "preset": "two-gaussian",
-            "separation": _finite_number(block.get("separation", length / 4),
-                                         "initial_state.separation"),
-            "width": _finite_number(block.get("width", length / 32),
-                                    "initial_state.width"),
-        }
-    raise ConfigError(f"unknown initial-state preset {preset!r}")
-
-
-def _resolve_potential_block(block, length: float) -> dict:
-    if block is None:
-        return {"type": "none"}
-    if not isinstance(block, dict):
-        raise ConfigError("potential must be an object with a 'type' key")
-    ptype = _require(block, "type", "potential block")
-    if ptype == "none":
-        return {"type": "none"}
-    if ptype == "harmonic":
-        return {
-            "type": "harmonic",
-            "omega": _finite_number(block.get("omega", 1.0), "potential.omega"),
-            "center": _finite_number(block.get("center", length / 2),
-                                     "potential.center"),
-        }
-    if ptype == "file":
-        return {"type": "file", "path": str(_require(block, "path", "potential block"))}
-    raise ConfigError(f"unknown potential type {ptype!r}")
-
-
-# ----------------------------------------------------------------- build ----
-
-def _build_grid(cfg: dict) -> GridSpec:
-    g = cfg["grid"]
-    return make_grid(g["dimension"], g["n"], g["length"])
-
-
-def _build_coefficients(cfg: dict) -> NLSECoefficients:
-    return NLSECoefficients(**cfg["coefficients"])
-
-
-def _build_sim_config(cfg: dict, force_dt: bool) -> SimulationConfig:
-    run = cfg["run"]
-    return SimulationConfig(
-        dt=run["dt"], t_final=run["t_final"], output_every=run["output_every"],
-        policy=RegularizationPolicy(rho_floor_rel=run["rho_floor_rel"]),
-        force_dt=force_dt)
-
-
-def _build_state(block: dict, grid: GridSpec, rng: np.random.Generator):
-    preset = block["preset"]
-    if preset == "gaussian":
-        return states.gaussian(grid, center=block["center"], width=block["width"],
-                               momentum=block["momentum"])
-    if preset == "plane-wave":
-        return states.plane_wave(grid, mode=block["mode"])
-    if preset == "random-nodeless":
-        psi = states.random_nodeless_field(grid, rng, max_mode=block["max_mode"],
-                                           log_amp=block["log_amp"],
-                                           phase_amp=block["phase_amp"])
-        return psi / l2_norm(psi, grid)
-    if preset == "two-gaussian":
-        psi_a, psi_b = states.two_gaussian_pair(grid, separation=block["separation"],
-                                                width=block["width"])
-        return (psi_a + psi_b) / l2_norm(psi_a + psi_b, grid)
-    raise ConfigError(f"unknown preset {preset!r}")
-
-
-def _build_potential(block: dict, grid: GridSpec):
-    if block["type"] == "none":
-        return None
-    if block["type"] == "harmonic":
-        return states.harmonic_potential(grid, omega=block["omega"],
-                                         center=block["center"])
-    path = Path(block["path"])
+def _potential_file(grid, b):
+    path = Path(b["path"])
     if not path.exists():
         raise ConfigError(f"potential file not found: {path}")
     try:
@@ -328,10 +149,155 @@ def _build_potential(block: dict, grid: GridSpec):
     return values
 
 
+# name -> (fields, one-line doc, builder). Builders look ``states`` functions
+# up when they run, so a wrapper set on the module attribute sees every call.
+STATE_PRESETS = {
+    "gaussian": (
+        (("center", "number", "L/2"), ("width", "positive", "L/40"),
+         ("momentum", "number", 0.0)),
+        "normalized packet exp(-(x-c)^2/(4w^2) + i k (x-c)); on the periodic"
+        " box pick momentum a multiple of 2*pi/L",
+        lambda grid, rng, b: states.gaussian(
+            grid, center=b["center"], width=b["width"], momentum=b["momentum"])),
+    "plane-wave": (
+        (("mode", "integer", 1),),
+        "exp(i 2 pi mode x / L) / sqrt(L)",
+        lambda grid, rng, b: states.plane_wave(grid, mode=b["mode"])),
+    "random-nodeless": (
+        (("max_mode", "count", 4), ("log_amp", "number", 0.4),
+         ("phase_amp", "number", 0.4)),
+        "seeded band-limited exp(u+is), strictly nodeless, zero winding",
+        lambda grid, rng, b: states.normalized(states.random_nodeless_field(
+            grid, rng, max_mode=b["max_mode"], log_amp=b["log_amp"],
+            phase_amp=b["phase_amp"]), grid)),
+    "two-gaussian": (
+        (("separation", "number", "L/4"), ("width", "positive", "L/32")),
+        "orthonormalized displaced pair; mixprobe rotates it by 'angle'",
+        lambda grid, rng, b: states.normalized(np.add(*states.two_gaussian_pair(
+            grid, separation=b["separation"], width=b["width"])), grid)),
+}
+
+POTENTIALS = {
+    "file": ((("path", "path", None),),
+             "one V value per line, grid layout (row-major in 2D)",
+             _potential_file),
+    "harmonic": ((("omega", "number", 1.0), ("center", "number", "L/2")),
+                 "(omega^2/2) |x - c|^2",
+                 lambda grid, b: states.harmonic_potential(
+                     grid, omega=b["omega"], center=b["center"])),
+    "none": ((), "free evolution", lambda grid, b: None),
+}
+
+# every initial state but the two-gaussian pair, which only mixprobe and evolve take
+SINGLE_STATES = ("gaussian", "plane-wave", "random-nodeless")
+
+# Blocks an experiment may read besides grid and run: name -> (rows or preset
+# table, what a config without the block gets). None makes the block
+# required; a string names the block to copy.
+BLOCKS = {
+    "coefficients": (COEFFICIENTS, None),
+    "gauge": (GAUGE, None),
+    "initial_state": (STATE_PRESETS, None),
+    "initial_state_y": (STATE_PRESETS, "initial_state"),
+    "potential": (POTENTIALS, {"type": "none"}),
+    "potential_y": (POTENTIALS, {"type": "none"}),
+}
+
+
+def list_presets() -> str:
+    lines = []
+    for section, table in (("initial states", STATE_PRESETS),
+                           ("potentials", POTENTIALS)):
+        lines.append(f"{section}:")
+        for name, (fields, doc, _) in sorted(table.items()):
+            params = ", ".join(key if default is None else f"{key}={default}"
+                               for key, _, default in fields)
+            lines.append(f"  {name}{f'({params})' if fields else ''}  - {doc}")
+    return "\n".join(lines) + "\n"
+
+
+def resolve_config(raw: dict) -> dict:
+    """Validate and fill defaults; returns the fully resolved config dict."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    if isinstance(raw.get("config"), dict):
+        raw = raw["config"]  # accept an emitted manifest as a config
+    exp = _require(raw, "experiment", "config")
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {exp!r}; expected one of {tuple(EXPERIMENTS)}")
+    _, reads, accepted = EXPERIMENTS[exp]
+
+    grid = _fields(_require(raw, "grid", "config"), GRID, "grid")
+    if exp in ("mixprobe", "separability") and grid["dimension"] != 1:
+        raise ConfigError(f"{exp} needs grid.dimension = 1, got {grid['dimension']}")
+    try:
+        make_grid(**grid)
+    except ValueError as err:
+        raise ConfigError(f"grid block: {err}") from None
+    out = {"experiment": exp, "grid": grid,
+           "run": _fields(_require(raw, "run", "config"), RUN, "run")}
+
+    for name in reads:
+        if isinstance(name, tuple):  # a row of the config root
+            out.update(_fields(raw, (name,), ""))
+            continue
+        name, optional = name.rstrip("?"), name.endswith("?")
+        table, fallback = BLOCKS[name]
+        block = raw.get(name)
+        if block is None:
+            if optional:
+                continue
+            if fallback is None:
+                raise ConfigError(f"missing '{name}' in config for {exp}")
+            block = raw[fallback] if isinstance(fallback, str) else fallback
+        head, rows = {}, table
+        if isinstance(table, dict):  # a preset table: the row the block names
+            key = "preset" if table is STATE_PRESETS else "type"
+            choice = _require(block, key, f"{name} block")
+            choices = accepted if table is STATE_PRESETS else tuple(table)
+            if choice not in choices:
+                raise ConfigError(f"{name}.{key} must be one of {choices}, got {choice!r}")
+            head, rows = {key: choice}, table[choice][0]
+        out[name] = {**head, **_fields(block, rows, name, grid["length"])}
+    if exp == "equivalence" and out["gauge"]["theta_const"] != 0.0:
+        raise ConfigError("equivalence requires theta_const = 0")
+    return out
+
+
+# ----------------------------------------------------------------- build ----
+
+def _build_coefficients(cfg: dict) -> NLSECoefficients:
+    return NLSECoefficients(**cfg["coefficients"])
+
+
+def _build_sim_config(cfg: dict, force_dt: bool) -> SimulationConfig:
+    run = cfg["run"]
+    return SimulationConfig(
+        dt=run["dt"], t_final=run["t_final"], output_every=run["output_every"],
+        policy=RegularizationPolicy(rho_floor_rel=run["rho_floor_rel"]),
+        force_dt=force_dt)
+
+
+def _build_state(block: dict, grid: GridSpec, rng: np.random.Generator):
+    return STATE_PRESETS[block["preset"]][2](grid, rng, block)
+
+
+def _build_potential(block: dict, grid: GridSpec):
+    return POTENTIALS[block["type"]][2](grid, block)
+
+
 # ------------------------------------------------------------------- CSV ----
 
+def _create(path: Path):
+    """Open ``path`` for writing, making its directory first: a run makes its
+    output directory with its first file, so a failed run leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="")
+
+
 def write_series_csv(path: Path, rows, header=("t", "value")) -> None:
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join("nan" if v is None else _fmt(v) for v in row) + "\n")
@@ -352,7 +318,7 @@ def write_frames_csv(path: Path, traj: Trajectory) -> None:
     grid = traj.grid
     axis = np.array([_fmt(v) for v in grid.axis_coordinate()], dtype=object)
     row = "%s," * (1 + grid.dimension) + "%.17g,%.17g,%.17g\n"
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n")
         for t, frame in zip(traj.times, traj.frames):
             t_text = _fmt(t)
@@ -427,8 +393,6 @@ def _run_equivalence(cfg, grid, sim, out_dir):
 
 def _run_mixprobe(cfg, grid, sim, out_dir):
     blk = cfg["initial_state"]
-    if blk["preset"] != "two-gaussian":
-        raise ConfigError("mixprobe requires the two-gaussian preset")
     try:
         psi_a, psi_b = states.two_gaussian_pair(grid, separation=blk["separation"],
                                                 width=blk["width"])
@@ -475,13 +439,19 @@ def _run_convergence(cfg, grid, sim, out_dir):
     return ["series.csv"], {"observed_order": order, "errors": errors}
 
 
-RUNNERS = {
-    "evolve": _run_evolve,
-    "gauge-check": _run_gauge_check,
-    "equivalence": _run_equivalence,
-    "mixprobe": _run_mixprobe,
-    "separability": _run_separability,
-    "convergence": _run_convergence,
+EVOLVES = ("coefficients", "initial_state", "potential")
+# name -> (runner, blocks it reads, initial-state presets it accepts). A
+# trailing "?" marks a block read only when the config gives it; a row
+# (key, kind, default) is a field of the config root.
+EXPERIMENTS = {
+    "evolve": (_run_evolve, EVOLVES, tuple(STATE_PRESETS)),
+    "gauge-check": (_run_gauge_check, (("trials", "count", 100), "gauge?"), ()),
+    "equivalence": (_run_equivalence, ("gauge", *EVOLVES), SINGLE_STATES),
+    "mixprobe": (_run_mixprobe, ("coefficients", "initial_state",
+                                 ("angle", "number", np.pi / 4)), ("two-gaussian",)),
+    "separability": (_run_separability, (*EVOLVES, "initial_state_y", "potential_y"),
+                     SINGLE_STATES),
+    "convergence": (_run_convergence, EVOLVES, SINGLE_STATES),
 }
 
 
@@ -500,11 +470,10 @@ def run(config_path, out_dir, force_dt: bool = False) -> int:
         return 2
     try:
         cfg = resolve_config(raw)
-        grid = _build_grid(cfg)
+        grid = make_grid(**cfg["grid"])
         sim = _build_sim_config(cfg, force_dt)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        files, diagnostics = RUNNERS[cfg["experiment"]](cfg, grid, sim, out)
+        files, diagnostics = EXPERIMENTS[cfg["experiment"]][0](cfg, grid, sim,
+                                                               Path(out_dir))
     except ConfigError as err:
         print(f"CONFIG_ERROR: {err}")
         return 2
@@ -528,7 +497,7 @@ def run(config_path, out_dir, force_dt: bool = False) -> int:
         "outputs": files,
         "diagnostics": diagnostics,
     }
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
+    with _create(Path(out_dir) / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=True)
         fh.write("\n")
     print(f"OK: {cfg['experiment']} -> {out_dir}")

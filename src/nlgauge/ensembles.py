@@ -45,12 +45,16 @@ class MixedState:
                 raise ValueError(f"component {j} is not normalized: ||psi|| = {nrm!r}")
 
 
+def _kernel(weights, states) -> np.ndarray:
+    psis = np.asarray(states)
+    return np.einsum("j,jx,jy->xy", weights, psis, psis.conj())
+
+
 def density_matrix(m: MixedState) -> np.ndarray:
     """Kernel W(x, y) = sum_j w_j psi_j(x) conj(psi_j(y)) (1D states)."""
     if m.grid.dimension != 1:
         raise ValueError("density_matrix expects 1D component states")
-    psis = np.asarray(m.states)
-    return np.einsum("j,jx,jy->xy", m.weights, psis, psis.conj())
+    return _kernel(m.weights, m.states)
 
 
 def frobenius_distance(w1: np.ndarray, w2: np.ndarray, grid: GridSpec) -> float:
@@ -105,15 +109,11 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
     times = trajs_a[0].times
     series = []
     for i, t in enumerate(times):
-        wa = _kernel_at(dec_a.weights, trajs_a, i)
-        wb = _kernel_at(dec_b.weights, trajs_b, i)
+        # not MixedStates: frames may drift in norm beyond their 1e-10 check
+        wa = _kernel(dec_a.weights, [tr.frames[i] for tr in trajs_a])
+        wb = _kernel(dec_b.weights, [tr.frames[i] for tr in trajs_b])
         series.append((float(t), frobenius_distance(wa, wb, grid)))
     return series
-
-
-def _kernel_at(weights, trajs, frame_index):
-    psis = np.asarray([tr.frames[frame_index] for tr in trajs])
-    return np.einsum("j,jx,jy->xy", weights, psis, psis.conj())
 
 
 def tensor_product(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:

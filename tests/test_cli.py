@@ -8,7 +8,7 @@ import pytest
 from nlgauge import cli
 from nlgauge.dynamics import Trajectory
 from nlgauge.functionals import density
-from nlgauge.grid import make_grid
+from nlgauge.grid import l2_norm, make_grid
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -40,7 +40,39 @@ class TestPresets:
         assert "harmonic(omega" in out
 
     def test_output_stable(self):
-        assert cli.list_presets() == cli.list_presets()
+        assert cli.list_presets() == PRESETS_TEXT
+
+    def test_every_preset_resolves_from_its_name_and_builds(self, tmp_path):
+        grid = make_grid(1, 64, 20.0)
+        for name in cli.STATE_PRESETS:
+            cfg = cli.resolve_config(base_evolve_config(initial_state={"preset": name}))
+            psi = cli._build_state(cfg["initial_state"], grid, np.random.default_rng(0))
+            assert psi.shape == grid.shape and np.all(np.isfinite(psi)), name
+            assert abs(l2_norm(psi, grid) - 1.0) < 1e-12, name
+        np.savetxt(tmp_path / "v.txt", np.ones(64))
+        for name in cli.POTENTIALS:
+            # only the file potential has a field without a default
+            block = {"type": name, **({"path": str(tmp_path / "v.txt")}
+                                      if name == "file" else {})}
+            cfg = cli.resolve_config(base_evolve_config(potential=block))
+            v = cli._build_potential(cfg["potential"], grid)
+            assert v is None if name == "none" else v.shape == grid.shape, name
+
+
+PRESETS_TEXT = """\
+initial states:
+  gaussian(center=L/2, width=L/40, momentum=0.0)  - normalized packet \
+exp(-(x-c)^2/(4w^2) + i k (x-c)); on the periodic box pick momentum a multiple of 2*pi/L
+  plane-wave(mode=1)  - exp(i 2 pi mode x / L) / sqrt(L)
+  random-nodeless(max_mode=4, log_amp=0.4, phase_amp=0.4)  - seeded band-limited \
+exp(u+is), strictly nodeless, zero winding
+  two-gaussian(separation=L/4, width=L/32)  - orthonormalized displaced pair; \
+mixprobe rotates it by 'angle'
+potentials:
+  file(path)  - one V value per line, grid layout (row-major in 2D)
+  harmonic(omega=1.0, center=L/2)  - (omega^2/2) |x - c|^2
+  none  - free evolution
+"""
 
 
 class TestEvolveExperiment:
@@ -196,6 +228,19 @@ class TestConfigErrors:
         {"experiment": "gauge-check", "gauge": 5},
         {"coefficients": {"nu1": -0.5, "nu2": 10 ** 400}},
         {"initial_state": {"preset": "plane-wave", "mode": 10 ** 30}},
+        {"experiment": "mixprobe", "grid": {"dimension": 2, "n": 16, "length": 20.0},
+         "initial_state": {"preset": "two-gaussian"}},
+        {"experiment": "mixprobe", "initial_state": {"preset": "two-gaussian",
+                                                     "width": 0.0}},
+        {"experiment": "mixprobe", "initial_state": {"preset": "two-gaussian",
+                                                     "width": -1.0}},
+        {"initial_state": {"preset": "random-nodeless", "max_mode": -3}},
+        {"initial_state": {"preset": "random-nodeless", "max_mode": 0}},
+        {"experiment": "mixprobe"},  # the gaussian preset of the base config
+        {"potential": {"type": "file", "path": "no-such-potential-file.txt"}},
+        {"grid": {"dimension": 2, "n": 16, "length": 20.0},
+         "initial_state": {"preset": "two-gaussian"}},
+        {"initial_state": {"preset": "gaussian", "width": 0.0}},
     ])
     def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys,
                                                       overrides):
@@ -243,6 +288,7 @@ class TestNumericalFailure:
         code = cli.run(write_config(tmp_path, cfg), tmp_path / "out", force_dt=True)
         assert code == 3
         assert "NUMERICAL_FAILURE" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
 
 class TestGaugeCheck:

@@ -12,7 +12,8 @@ and writes nothing: the output directory is made with the first file.
 
 Config handling is table-driven: the rows of each block, preset, potential
 and experiment validate a config, fill its defaults, list the ``presets`` and
-pick the builders. The manifest echoes the fully resolved config (all
+pick the builders. A key that no row names, in a block or at the root, is a
+config error. The manifest echoes the fully resolved config (all
 defaults filled in), so re-running ``nlgauge run manifest.json`` reproduces
 the outputs byte for byte. Floats are printed with 17 significant digits; the
 only randomness is the seeded field generator of the gauge-check experiment.
@@ -100,9 +101,19 @@ def _value(value, kind: str, where: str):
     return value
 
 
-def _fields(block, rows, where: str, length: float | None = None) -> dict:
+def _known_only(block: dict, known: tuple, where: str) -> None:
+    """Refuse a key that no row names: a typo must not run with a default."""
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}; "
+                              f"expected one of {known}")
+
+
+def _fields(block, rows, where: str, length: float | None = None,
+            head: tuple = ()) -> dict:
     """Resolve the ``rows`` of one block; ``where`` names the block in error
-    lines ('' for fields of the config root)."""
+    lines ('' for fields of the config root). A block may hold only the keys
+    of its rows and ``head``; the root's keys are checked in resolve_config."""
     _object(block, f"{where} block")
     out = {}
     for key, kind, default in rows:
@@ -116,6 +127,8 @@ def _fields(block, rows, where: str, length: float | None = None) -> dict:
         else:
             value = default
         out[key] = _value(value, kind, name)
+    if where:
+        _known_only(block, (*head, *(key for key, _, _ in rows)), where)
     return out
 
 
@@ -238,11 +251,14 @@ def resolve_config(raw: dict) -> dict:
     out = {"experiment": exp, "grid": grid,
            "run": _fields(_require(raw, "run", "config"), RUN, "run")}
 
+    root = ["experiment", "grid", "run"]
     for name in reads:
         if isinstance(name, tuple):  # a row of the config root
             out.update(_fields(raw, (name,), ""))
+            root.append(name[0])
             continue
         name, optional = name.rstrip("?"), name.endswith("?")
+        root.append(name)
         table, fallback = BLOCKS[name]
         block = raw.get(name)
         if block is None:
@@ -259,9 +275,10 @@ def resolve_config(raw: dict) -> dict:
             if choice not in choices:
                 raise ConfigError(f"{name}.{key} must be one of {choices}, got {choice!r}")
             head, rows = {key: choice}, table[choice][0]
-        out[name] = {**head, **_fields(block, rows, name, grid["length"])}
+        out[name] = {**head, **_fields(block, rows, name, grid["length"], tuple(head))}
     if exp == "equivalence" and out["gauge"]["theta_const"] != 0.0:
         raise ConfigError("equivalence requires theta_const = 0")
+    _known_only(raw, tuple(root), f"config for {exp}")
     return out
 
 

@@ -15,12 +15,17 @@ transform of the stacked [psi, rho], one inverse transform of the stacked
 derivative spectra [lap psi, grad psi, lap rho, grad rho] (each block only
 when a term needs it), and for R1 one forward transform of the stacked
 current components and one inverse of div J, summed over axes in k-space.
-That is at most four transform calls per evaluation in 1D and 2D alike. All
-terms except i*nu2*R2 are summed into one real field m, the density-floor
-gate is folded once into 1/rho, and the result is
--i (nu1 lap psi + (m + i nu2 R2) psi). :func:`nlgauge.functionals.functional_R`
-computes each quotient on its own, with separate transforms, and is kept as
-the independent oracle that the tests compare :func:`rhs` against.
+That is at most four transforms per evaluation in 1D and 2D alike. All
+transforms are those of the :mod:`nlgauge.grid` transform layer on
+``numpy.fft``: the complex stacks are transformed in place, in 2D as two 1D
+passes (axis -2, then axis -1), and the real current goes through its half
+spectrum (``rfft``, and in 2D one ``fft`` over axis -2) with the half-layout
+multipliers ``grid.ik_half``. All terms except i*nu2*R2 are summed into one
+real field m, the density-floor gate is folded once into 1/rho, and the
+result is -i (nu1 lap psi + (m + i nu2 R2) psi).
+:func:`nlgauge.functionals.functional_R` computes each quotient on its own,
+with separate transforms, and is kept as the independent oracle that the
+tests compare :func:`rhs` against.
 
 Integration is classical RK4, uniform across the family. The linear equation
 has an exact split-step propagator (exact to rounding when V == 0) used as the
@@ -30,10 +35,9 @@ oracle for linearizability experiments.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import fft as _fft
 
 from .functionals import DEFAULT_POLICY, RegularizationPolicy, density, unwrap_phase
-from .grid import GridSpec, l2_norm
+from .grid import GridSpec, fft_stack, ifft_stack, irfft_field, l2_norm, rfft_field
 
 
 class NumericalBlowupError(RuntimeError):
@@ -128,21 +132,6 @@ def stability_bound(c: NLSECoefficients, grid: GridSpec) -> float:
     return 0.2 * dx2 / max(abs(c.nu1), abs(c.nu2), dx2)
 
 
-def _forward(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Forward transform of each row of a stack over the grid axes; a
-    complex stack is transformed in place."""
-    if grid.dimension == 1:
-        return _fft.fft(rows, overwrite_x=True)
-    return _fft.fftn(rows, axes=(-2, -1), overwrite_x=True)
-
-
-def _inverse(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of :func:`_forward`, in place."""
-    if grid.dimension == 1:
-        return _fft.ifft(rows, overwrite_x=True)
-    return _fft.ifftn(rows, axes=(-2, -1), overwrite_x=True)
-
-
 def _derivatives(psi: np.ndarray, rho: np.ndarray | None, grid: GridSpec,
                  grad_psi: bool, lap_rho: bool, grad_rho: bool) -> np.ndarray:
     """Stack of [lap psi, grad psi, lap rho, grad rho] (each block only when
@@ -153,7 +142,7 @@ def _derivatives(psi: np.ndarray, rho: np.ndarray | None, grid: GridSpec,
     fwd[0] = psi
     if with_rho:
         fwd[1] = rho
-    spec = _forward(fwd, grid)
+    spec = fft_stack(fwd, grid)
     lap, ik = grid.laplacian_symbol, grid.ik
     pairs = [(spec[0], lap)]
     if grad_psi:
@@ -165,7 +154,7 @@ def _derivatives(psi: np.ndarray, rho: np.ndarray | None, grid: GridSpec,
     out = np.empty((len(pairs),) + grid.shape, complex)
     for row, (f_k, mult) in zip(out, pairs):
         np.multiply(f_k, mult, out=row)
-    return _inverse(out, grid)
+    return ifft_stack(out, grid)
 
 
 def rhs(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec,
@@ -210,13 +199,13 @@ def rhs(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec,
     # every term but i*nu2*R2 multiplies psi by one real field m
     m = None
     if c.mu1 != 0.0:
-        ik = grid.ik
-        j_k = _forward(jvec, grid)
+        ik = grid.ik_half
+        j_k = rfft_field(jvec, grid)
         div_k = j_k[0]
         div_k *= ik[0]
         for a in range(1, dim):
             div_k += ik[a] * j_k[a]
-        m = _add(m, c.mu1 * _inverse(div_k, grid).real * inv_rho)
+        m = _add(m, c.mu1 * irfft_field(div_k, grid) * inv_rho)
     if c.mu2 != 0.0:
         m = _add(m, c.mu2 * r2)
     if c.mu3 != 0.0 or c.mu4 != 0.0:
@@ -338,12 +327,18 @@ def evolve_linear_exact(nu1: float, psi0: np.ndarray, grid: GridSpec,
     """
     _check_initial(psi0, grid)
     kinetic = np.exp(1j * nu1 * grid.k_squared_total * config.dt)
+
+    def free(p):  # p is a fresh array, transformed in place
+        p = fft_stack(p, grid)
+        p *= kinetic
+        return ifft_stack(p, grid)
+
     if V is None or mu0 == 0.0:
         def stepper(p):
-            return _fft.ifftn(kinetic * _fft.fftn(p))
+            return free(p.copy())
     else:
         half_v = np.exp(-0.5j * mu0 * V * config.dt)
 
         def stepper(p):
-            return half_v * _fft.ifftn(kinetic * _fft.fftn(half_v * p))
+            return half_v * free(half_v * p)
     return _run_steps(stepper, psi0, grid, config, "evolve_linear_exact")

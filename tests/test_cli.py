@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +253,44 @@ class TestConfigErrors:
         assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"initial_state": {"preset": "gaussian", "widht": 0.1}}, "widht"),
+        ({"experiment": "mixprobe", "initial_state": {"preset": "two-gaussian"},
+          "potential": {"type": "none"}}, "potential"),
+        ({"coefficent": {"nu1": -0.5}}, "coefficent"),
+        ({"grid": {"dimension": 1, "n": 64, "length": 20.0, "N": 32}}, "N"),
+        ({"run": {"dt": 1e-3, "t_final": 0.02, "output_evry": 5}}, "output_evry"),
+        ({"coefficients": {"nu1": -0.5, "mu6": 0.1}}, "mu6"),
+        ({"potential": {"type": "harmonic", "omgea": 0.5}}, "omgea"),
+        ({"potential": {"type": "none", "omega": 0.5}}, "omega"),
+        ({"experiment": "gauge-check", "coefficients": None, "initial_state": None,
+          "potential": None, "gauge": {"gama": 0.5}}, "gama"),
+        ({"experiment": "gauge-check", "coefficients": None, "initial_state": None,
+          "potential": None, "angle": 0.5}, "angle"),
+        ({"experiment": "separability",
+          "initial_state_y": {"preset": "plane-wave", "width": 1.0}}, "width"),
+    ])
+    def test_unknown_key_is_one_config_error_line(self, tmp_path, capsys,
+                                                   overrides, key):
+        # an override of None drops that block of the base config
+        cfg = {k: v for k, v in base_evolve_config(**overrides).items() if v is not None}
+        out_dir = tmp_path / "out"
+        code = cli.run(write_config(tmp_path, cfg), out_dir)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith(f"CONFIG_ERROR: unknown key '{key}'")
+        assert not out_dir.exists()
+
+    def test_manifest_config_holds_only_known_keys(self, tmp_path):
+        # an emitted manifest, whose config holds both initial states and
+        # every default, resolves to its own config
+        out_dir = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, base_evolve_config(
+            experiment="separability",
+            initial_state_y={"preset": "plane-wave", "mode": 2})), out_dir) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert cli.resolve_config(manifest) == manifest["config"]
+
     def test_integer_literal_beyond_digit_limit(self, tmp_path, capsys):
         # json.loads refuses integer literals of more than 4300 digits with a
         # plain ValueError rather than a JSONDecodeError
@@ -421,3 +461,20 @@ def test_console_entry_point(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "gaussian(center" in result.stdout
+
+
+def test_import_loads_nothing_beyond_numpy():
+    # numpy is the only runtime dependency: on top of numpy (and numpy.random
+    # with its Cython runtime) importing the CLI adds only nlgauge modules
+    # and standard-library ones
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy.random; before = set(sys.modules); "
+            "import nlgauge.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if "
+            "m.partition('.')[0] not in sys.stdlib_module_names | {'nlgauge'}))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -76,6 +76,19 @@ class TestRHS:
         out = ng.rhs(c, psi, grid, V)
         assert np.max(np.abs(out - composed_rhs(c, psi, grid, V))) < 1e-11
 
+    def test_mu1_only_matches_functional_2d(self):
+        # the R1 term alone, whose div J is the one real field that rhs
+        # transforms through its half spectrum
+        grid = ng.make_grid(2, 32, 20.0)
+        c = NLSECoefficients(nu1=-0.5, mu1=0.5)
+        psi = non_product_packet(grid)
+        r1_term = c.mu1 * ng.functional_R(1, psi, grid, c.nu1) * psi
+        expect = -1j * (c.nu1 * ng.laplacian(psi, grid) + r1_term)
+        out = ng.rhs(c, psi, grid)
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(out - expect)) < 1e-13 * scale
+        assert np.max(np.abs(r1_term)) > 0.3 * scale
+
     def test_gated_points_match_masked_functionals(self, grid64):
         # points with 0 < rho <= eps: the quotient terms are switched off
         # there, while the linear, log and alpha2 terms are not gated

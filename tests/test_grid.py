@@ -1,8 +1,10 @@
+from math import erf
+
 import numpy as np
 import pytest
-from scipy.special import erf
 
 import nlgauge as ng
+from nlgauge.grid import fft_stack, ifft_stack, irfft_field, rfft_field
 
 
 class TestMakeGrid:
@@ -83,6 +85,77 @@ class TestDifferentiate:
         lap = ng.laplacian(f, g)
         ref = ng.differentiate(f, g, 0, 2) + ng.differentiate(f, g, 1, 2)
         assert np.max(np.abs(lap - ref)) < 1e-12
+
+
+def dft_matrix(n):
+    """Naive DFT matrix exp(-2 pi i jk / n), the oracle of the transform layer."""
+    j = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(j, j) / n)
+
+
+def dft(a, dimension, inverse=False):
+    """DFT of ``a`` over its last ``dimension`` axes by matrix products."""
+    f = dft_matrix(a.shape[-1])
+    if inverse:
+        f = f.conj() / a.shape[-1]
+    out = a @ f.T
+    if dimension == 2:
+        out = np.swapaxes(np.swapaxes(out, -1, -2) @ f.T, -1, -2)
+    return out
+
+
+def assert_rel_close(got, expect, tol=1e-12):
+    assert np.max(np.abs(got - expect)) <= tol * np.max(np.abs(expect))
+
+
+class TestTransformLayer:
+    """The numpy.fft layer of grid.py against a naive DFT-matrix oracle."""
+
+    @pytest.mark.parametrize("dimension,n,rows", [(1, 64, 3), (1, 48, 1),
+                                                  (2, 32, 3), (2, 16, 1)])
+    def test_complex_stack_both_directions(self, rng, dimension, n, rows):
+        grid = ng.make_grid(dimension, n, 7.0)
+        shape = (rows,) + grid.shape
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        spec = fft_stack(a.copy(), grid)
+        assert_rel_close(spec, dft(a, dimension))
+        assert_rel_close(ifft_stack(a.copy(), grid), dft(a, dimension, inverse=True))
+        assert_rel_close(ifft_stack(spec, grid), a)
+
+    def test_transforms_in_place(self, rng):
+        grid = ng.make_grid(2, 16, 7.0)
+        a = rng.normal(size=(2,) + grid.shape) + 0j
+        assert fft_stack(a, grid) is a
+        assert ifft_stack(a, grid) is a
+
+    @pytest.mark.parametrize("dimension,n", [(1, 64), (2, 32)])
+    def test_real_half_spectrum(self, rng, dimension, n):
+        grid = ng.make_grid(dimension, n, 7.0)
+        f = rng.normal(size=(2,) + grid.shape)
+        half = rfft_field(f, grid)
+        assert half.shape == (2,) + grid.shape[:-1] + (n // 2 + 1,)
+        assert_rel_close(half, dft(f, dimension)[..., :n // 2 + 1])
+        assert_rel_close(irfft_field(half, grid), f)
+
+    @pytest.mark.parametrize("dimension,n", [(1, 64), (2, 32)])
+    def test_real_field_derivatives(self, rng, dimension, n):
+        # every mode, Nyquist included, is excited; the oracle multiplies the
+        # full DFT spectrum by the full-layout symbols and inverts by matrices
+        grid = ng.make_grid(dimension, n, 7.0)
+        f = rng.normal(size=grid.shape)
+        f_k = dft(f, dimension)
+        for axis in range(dimension):
+            for order in (1, 2):
+                k = grid.wavenumbers(axis, zero_nyquist=order == 1)
+                got = ng.differentiate(f, grid, axis=axis, order=order)
+                assert np.isrealobj(got)
+                expect = dft((1j * k) ** order * f_k, dimension, inverse=True)
+                assert_rel_close(got, expect.real)
+                assert np.max(np.abs(expect.imag)) <= 1e-12 * np.max(np.abs(expect))
+        got = ng.laplacian(f, grid)
+        assert np.isrealobj(got)
+        expect = dft(grid.laplacian_symbol * f_k, dimension, inverse=True)
+        assert_rel_close(got, expect.real)
 
 
 class TestIntegrate:

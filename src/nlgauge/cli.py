@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (NLSECoefficients, NumericalBlowupError, SimulationConfig,
-                       Trajectory, evolve)
+from .dynamics import (COEFF_NAMES, NLSECoefficients, NumericalBlowupError,
+                       SimulationConfig, Trajectory, evolve)
 from .ensembles import (InvariantViolation, equivalent_decompositions,
                         mixed_divergence, separability_residual)
 from .equivalence import commuting_residual, push_forward_family
@@ -132,15 +132,12 @@ def _fields(block, rows, where: str, length: float | None = None,
     return out
 
 
-COEFF_KEYS = ("nu1", "nu2", "mu0", "mu1", "mu2", "mu3", "mu4", "mu5",
-              "alpha1", "alpha2")
-
 GRID = (("dimension", "integer", None), ("n", "integer", None),
         ("length", "number", None))
 RUN = (("dt", "positive", None), ("t_final", "positive", None),
        ("output_every", "count", 1), ("rho_floor_rel", "number", 1e-12),
        ("seed", "integer", 0))
-COEFFICIENTS = tuple((key, "number", 0.0) for key in COEFF_KEYS)
+COEFFICIENTS = tuple((key, "number", 0.0) for key in COEFF_NAMES)
 GAUGE = (("gamma", "number", 0.0), ("lambda", "nonzero", 1.0),
          ("theta_const", "number", 0.0))
 
@@ -403,7 +400,7 @@ def _run_equivalence(cfg, grid, sim, out_dir):
         "residual_sup_fine": report.residual_sup_fine,
         "refinement_order": report.refinement_order,
         "regularized_fraction": report.regularized_fraction,
-        "pushed_coefficients": dict(zip(COEFF_KEYS,
+        "pushed_coefficients": dict(zip(COEFF_NAMES,
                                         map(float, push_forward_family(g, c).as_array()))),
     }
 

@@ -27,12 +27,27 @@ result is -i (nu1 lap psi + (m + i nu2 R2) psi).
 with separate transforms, and is kept as the independent oracle that the
 tests compare :func:`rhs` against.
 
+Members. :func:`rhs`, :func:`step_rk4` and :func:`evolve` take either one
+member (an :class:`NLSECoefficients` and a field of ``grid.shape``) or a
+sequence of B members with a stack of B fields, shape ``(B, *grid.shape)``,
+advanced with one step sequence. In a batch the coefficients act as
+``(B, 1[, 1])`` columns; the density floor eps (``rho_floor_rel`` times the
+member's own maximum), the valid mask and the ``alpha2`` anchor (the first
+maximum of the member's own ``|psi|``) are per member, so every row is what
+the member would get alone. Which term blocks are computed is the union over
+the batch: a member whose coefficient is zero multiplies a finite field by
+0. :func:`evolve` checks each member's initial state and stability bound and
+returns one :class:`Trajectory` per member; the non-finite and norm-drift
+aborts name the member that failed.
+
 Integration is classical RK4, uniform across the family. The linear equation
 has an exact split-step propagator (exact to rounding when V == 0) used as the
 oracle for linearizability experiments.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +57,11 @@ from .grid import GridSpec, fft_stack, ifft_stack, irfft_field, l2_norm, rfft_fi
 
 class NumericalBlowupError(RuntimeError):
     """Raised when the state leaves the finite/normalized regime."""
+
+
+COEFF_NAMES = ("nu1", "nu2", "mu0", "mu1", "mu2", "mu3", "mu4", "mu5",
+               "alpha1", "alpha2")
+Nonzero = namedtuple("Nonzero", COEFF_NAMES)
 
 
 @dataclass(frozen=True)
@@ -68,6 +88,11 @@ class NLSECoefficients:
         return (self.nu2 == self.mu1 == self.mu2 == self.mu3 == self.mu4
                 == self.mu5 == self.alpha1 == self.alpha2 == 0.0)
 
+    @cached_property
+    def nonzero(self) -> Nonzero:
+        """Which coefficients are nonzero, by name."""
+        return Nonzero(*(self.as_array() != 0.0).tolist())
+
     def as_array(self) -> np.ndarray:
         return np.array([self.nu1, self.nu2, self.mu0, self.mu1, self.mu2,
                          self.mu3, self.mu4, self.mu5, self.alpha1, self.alpha2])
@@ -77,6 +102,20 @@ class NLSECoefficients:
         a = [float(v) for v in a]
         return cls(nu1=a[0], nu2=a[1], mu0=a[2], mu1=a[3], mu2=a[4],
                    mu3=a[5], mu4=a[6], mu5=a[7], alpha1=a[8], alpha2=a[9])
+
+
+class _Columns:
+    """B members' coefficients as ``(B, 1[, 1])`` columns under the same
+    names, with ``nonzero`` the union over the batch."""
+
+    def __init__(self, cs, dimension: int):
+        a = np.array([c.as_array() for c in cs])
+        if not len(a):
+            raise ValueError("a batch needs at least one member")
+        shape = (len(a),) + (1,) * dimension
+        for name, col in zip(COEFF_NAMES, a.T):
+            setattr(self, name, col.reshape(shape))
+        self.nonzero = Nonzero(*(a != 0.0).any(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -136,9 +175,10 @@ def _derivatives(psi: np.ndarray, rho: np.ndarray | None, grid: GridSpec,
                  grad_psi: bool, lap_rho: bool, grad_rho: bool) -> np.ndarray:
     """Stack of [lap psi, grad psi, lap rho, grad rho] (each block only when
     asked for) from one forward transform of the stacked [psi, rho] and one
-    inverse transform of the stacked derivative spectra."""
+    inverse transform of the stacked derivative spectra. The block axis
+    comes first, before any member axis of psi."""
     with_rho = lap_rho or grad_rho
-    fwd = np.empty((1 + with_rho,) + grid.shape, complex)
+    fwd = np.empty((1 + with_rho,) + psi.shape, complex)
     fwd[0] = psi
     if with_rho:
         fwd[1] = rho
@@ -151,26 +191,33 @@ def _derivatives(psi: np.ndarray, rho: np.ndarray | None, grid: GridSpec,
         pairs.append((spec[1], lap))
     if grad_rho:
         pairs += [(spec[1], k) for k in ik]
-    out = np.empty((len(pairs),) + grid.shape, complex)
+    out = np.empty((len(pairs),) + psi.shape, complex)
     for row, (f_k, mult) in zip(out, pairs):
         np.multiply(f_k, mult, out=row)
     return ifft_stack(out, grid)
 
 
-def rhs(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec,
-        V: np.ndarray | None = None,
+def rhs(c, psi: np.ndarray, grid: GridSpec, V: np.ndarray | None = None,
         policy: RegularizationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """d/dt psi for the family from one batched spectral pass (module doc)."""
-    need_lap_rho = c.nu2 != 0.0 or c.mu2 != 0.0
-    need_grad_rho = c.mu4 != 0.0 or c.mu5 != 0.0
-    need_j = c.mu1 != 0.0 or c.mu3 != 0.0 or c.mu4 != 0.0
+    """d/dt psi for the family from one batched spectral pass (module doc).
+
+    ``c`` is one :class:`NLSECoefficients` with ``psi`` of ``grid.shape``, or
+    a sequence of B members with ``psi`` of shape ``(B, *grid.shape)``; V is
+    None, one field, or one field per member.
+    """
+    if not isinstance(c, (NLSECoefficients, _Columns)):
+        c = _Columns(c, grid.dimension)
+    on = c.nonzero
+    need_lap_rho = on.nu2 or on.mu2
+    need_grad_rho = on.mu4 or on.mu5
+    need_j = on.mu1 or on.mu3 or on.mu4
     need_quot = need_lap_rho or need_grad_rho or need_j
     dim = grid.dimension
 
     rho = None
-    if need_quot or c.alpha1 != 0.0 or c.alpha2 != 0.0:
+    if need_quot or on.alpha1 or on.alpha2:
         rho = density(psi)
-        eps = policy.floor(rho)
+        eps = policy.floor(rho, dim)  # one per member
         rho_s = np.maximum(rho, eps)
         valid = rho > eps
     if need_quot:
@@ -198,7 +245,7 @@ def rhs(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec,
 
     # every term but i*nu2*R2 multiplies psi by one real field m
     m = None
-    if c.mu1 != 0.0:
+    if on.mu1:
         ik = grid.ik_half
         j_k = rfft_field(jvec, grid)
         div_k = j_k[0]
@@ -206,24 +253,24 @@ def rhs(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec,
         for a in range(1, dim):
             div_k += ik[a] * j_k[a]
         m = _add(m, c.mu1 * irfft_field(div_k, grid) * inv_rho)
-    if c.mu2 != 0.0:
+    if on.mu2:
         m = _add(m, c.mu2 * r2)
-    if c.mu3 != 0.0 or c.mu4 != 0.0:
+    if on.mu3 or on.mu4:
         j_over_rho = jvec * inv_rho
-        if c.mu3 != 0.0:
+        if on.mu3:
             m = _add(m, c.mu3 * _dot(j_over_rho, j_over_rho))
-        if c.mu4 != 0.0:
+        if on.mu4:
             m = _add(m, c.mu4 * _dot(j_over_rho, grad_rho_over_rho))
-    if c.mu5 != 0.0:
+    if on.mu5:
         m = _add(m, c.mu5 * _dot(grad_rho_over_rho, grad_rho_over_rho))
-    if c.alpha1 != 0.0:
+    if on.alpha1:
         m = _add(m, c.alpha1 * np.log(rho_s))
-    if c.alpha2 != 0.0:
-        m = _add(m, c.alpha2 * unwrap_phase(psi, valid=valid))
-    if c.mu0 != 0.0 and V is not None:
+    if on.alpha2:
+        m = _add(m, c.alpha2 * unwrap_phase(psi, valid=valid, dimension=dim))
+    if on.mu0 and V is not None:
         m = _add(m, c.mu0 * V)  # last: V may be a broadcastable field
 
-    if c.nu2 != 0.0:
+    if on.nu2:
         m = 1j * c.nu2 * r2 if m is None else m + 1j * c.nu2 * r2
     if m is not None:
         h += m * psi
@@ -247,10 +294,13 @@ def _add(total, term):
     return total
 
 
-def step_rk4(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec, dt: float,
+def step_rk4(c, psi: np.ndarray, grid: GridSpec, dt: float,
              V: np.ndarray | None = None,
              policy: RegularizationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """One classical Runge-Kutta step; local error O(dt^5)."""
+    """One classical Runge-Kutta step; local error O(dt^5). ``c``, ``psi``
+    and ``V`` as in :func:`rhs`."""
+    if not isinstance(c, (NLSECoefficients, _Columns)):
+        c = _Columns(c, grid.dimension)
     k1 = rhs(c, psi, grid, V, policy)
     k2 = rhs(c, psi + 0.5 * dt * k1, grid, V, policy)
     k3 = rhs(c, psi + 0.5 * dt * k2, grid, V, policy)
@@ -258,62 +308,96 @@ def step_rk4(c: NLSECoefficients, psi: np.ndarray, grid: GridSpec, dt: float,
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_initial(psi0: np.ndarray, grid: GridSpec) -> None:
-    if psi0.shape != grid.shape:
-        raise ValueError(f"initial state shape {psi0.shape} != grid shape {grid.shape}")
-    if not np.all(np.isfinite(psi0)):
-        raise ValueError("initial state contains non-finite entries")
-    nrm = l2_norm(psi0, grid)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"initial state must be normalized, got ||psi0|| = {nrm!r}")
+def _member(batch: bool, b: int) -> str:
+    """Prefix naming member b in the messages of a batched run."""
+    return f"member {b}: " if batch else ""
 
 
-def _run_steps(stepper, psi0, grid, config, label):
-    """Shared driver: step, watch for NaN/norm blow-up, collect output frames."""
+def _check_initial(psi0: np.ndarray, grid: GridSpec, members: int | None = None) -> None:
+    """Shape, finiteness and normalization of one initial state, or of each
+    row of a stack of ``members`` states."""
+    batch = members is not None
+    shape = (members,) + grid.shape if batch else grid.shape
+    if psi0.shape != shape:
+        what = f"{members} stacked states" if batch else "grid"
+        raise ValueError(f"initial state shape {psi0.shape} != {what} shape {shape}")
+    for b, p in enumerate(psi0 if batch else [psi0]):
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"{_member(batch, b)}initial state contains non-finite entries")
+        nrm = l2_norm(p, grid)
+        if abs(nrm - 1.0) > 1e-10:
+            raise ValueError(f"{_member(batch, b)}initial state must be normalized, "
+                             f"got ||psi0|| = {nrm!r}")
+
+
+def _run_steps(stepper, psi0, grid, config, label, batch=False):
+    """Shared driver: step, watch for NaN/norm blow-up, collect output frames.
+    With ``batch``, axis 0 of psi0 indexes members and a list with one
+    trajectory per member is returned."""
     n_steps = config.n_steps()
     policy = config.policy
+    psi = np.array(psi0, dtype=complex)
+    rows = psi if batch else psi[None]
     times = [0.0]
-    frames = [np.array(psi0, dtype=complex)]
-    norms = [l2_norm(psi0, grid)]
-    fracs = [policy.regularized_fraction(density(psi0))]
-    psi = frames[0]
+    frames = [[np.array(r)] for r in rows]
+    norms = [[l2_norm(r, grid)] for r in rows]
+    fracs = [[policy.regularized_fraction(density(r))] for r in rows]
     for step in range(1, n_steps + 1):
         psi = stepper(psi)
+        rows = psi if batch else psi[None]
         if not np.all(np.isfinite(psi)):
+            b = next(b for b, r in enumerate(rows) if not np.all(np.isfinite(r)))
             raise NumericalBlowupError(
-                f"{label}: non-finite state at step {step} (t={step * config.dt:g}); "
-                "try a smaller dt")
+                f"{label}: {_member(batch, b)}non-finite state at step {step} "
+                f"(t={step * config.dt:g}); try a smaller dt")
         if step % config.output_every == 0 or step == n_steps:
-            nrm = l2_norm(psi, grid)
-            if abs(nrm - norms[0]) > 1e-3:
-                raise NumericalBlowupError(
-                    f"{label}: norm drifted by {abs(nrm - norms[0]):.3e} at "
-                    f"t={step * config.dt:g}; the run is unresolved")
+            nrms = [l2_norm(r, grid) for r in rows]
+            for b, nrm in enumerate(nrms):
+                if abs(nrm - norms[b][0]) > 1e-3:
+                    raise NumericalBlowupError(
+                        f"{label}: {_member(batch, b)}norm drifted by "
+                        f"{abs(nrm - norms[b][0]):.3e} at t={step * config.dt:g}; "
+                        "the run is unresolved")
             times.append(step * config.dt)
-            frames.append(np.array(psi))
-            norms.append(nrm)
-            fracs.append(policy.regularized_fraction(density(psi)))
-    return Trajectory(grid=grid, times=np.array(times), frames=frames,
-                      norms=np.array(norms),
-                      regularized_fractions=np.array(fracs))
+            for b, r in enumerate(rows):
+                frames[b].append(np.array(r))
+                norms[b].append(nrms[b])
+                fracs[b].append(policy.regularized_fraction(density(r)))
+    trajs = [Trajectory(grid=grid, times=np.array(times), frames=frames[b],
+                        norms=np.array(norms[b]),
+                        regularized_fractions=np.array(fracs[b]))
+             for b in range(len(frames))]
+    return trajs if batch else trajs[0]
 
 
-def evolve(c: NLSECoefficients, psi0: np.ndarray, grid: GridSpec,
-           config: SimulationConfig, V: np.ndarray | None = None) -> Trajectory:
+def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
+           V: np.ndarray | None = None):
     """Integrate the family with RK4 up to t_final.
 
+    One member ``c`` with ``psi0`` of ``grid.shape`` gives one
+    :class:`Trajectory`. A sequence of B members with ``psi0`` of shape
+    ``(B, *grid.shape)`` (and V None, one field, or one field per member)
+    advances all of them with one step sequence and gives a list of B
+    trajectories, each equal to the member's own run (module doc).
+
     Norm is never renormalized during the run; drift is a diagnostic and a
-    drift beyond 1e-3 aborts the run as unresolved.
+    drift beyond 1e-3 aborts the run as unresolved. Each member's initial
+    state and stability bound are checked before any step.
     """
-    _check_initial(psi0, grid)
-    bound = stability_bound(c, grid)
-    if config.dt > bound and not config.force_dt:
-        raise ValueError(
-            f"dt={config.dt:g} exceeds the stability bound {bound:g} "
-            "(pass force_dt=True to override)")
+    batch = not isinstance(c, NLSECoefficients)
+    members = list(c) if batch else [c]
+    psi0 = np.asarray(psi0)
+    _check_initial(psi0, grid, len(members) if batch else None)
+    for b, cb in enumerate(members):
+        bound = stability_bound(cb, grid)
+        if config.dt > bound and not config.force_dt:
+            raise ValueError(
+                f"{_member(batch, b)}dt={config.dt:g} exceeds the stability bound "
+                f"{bound:g} (pass force_dt=True to override)")
+    coeffs = _Columns(members, grid.dimension) if batch else c
     policy = config.policy
-    return _run_steps(lambda p: step_rk4(c, p, grid, config.dt, V, policy),
-                      psi0, grid, config, "evolve")
+    return _run_steps(lambda p: step_rk4(coeffs, p, grid, config.dt, V, policy),
+                      psi0, grid, config, "evolve", batch)
 
 
 def evolve_linear_exact(nu1: float, psi0: np.ndarray, grid: GridSpec,

@@ -9,13 +9,19 @@ orthonormal pair are invariant under rotations of the pair, which supplies
 pairs of distinct decompositions with identical W. Linear evolution keeps the
 kernels of such pairs equal; a nonlinear member of the family does not, and
 the divergence D(t) quantifies the split.
+
+Both experiments evolve their independent states as the members of one
+batched :func:`nlgauge.dynamics.evolve` call per step size (the components
+of both decompositions; the two 1D factors, with their potentials stacked).
+Each member keeps its own density floor and phase anchor, so its trajectory
+is the one it would have alone, and an abort names the member that failed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NLSECoefficients, SimulationConfig, Trajectory, evolve
+from .dynamics import NLSECoefficients, SimulationConfig, evolve
 from .grid import GridSpec, l2_norm, make_grid
 
 
@@ -88,14 +94,14 @@ def equivalent_decompositions(psi_a: np.ndarray, psi_b: np.ndarray,
     return dec_a, dec_b
 
 
-def _evolve_components(c, m: MixedState, config, V):
-    return [evolve(c, psi, m.grid, config, V) for psi in m.states]
-
-
 def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
                      config: SimulationConfig, V: np.ndarray | None = None):
     """Evolve every component of both decompositions independently and return
     [(t, D(t))] with D the dx-weighted Frobenius distance of the kernels.
+
+    The components of both decompositions are the members of one batched
+    :func:`evolve` call: each is evolved as if alone, with its own density
+    floor and phase anchor.
 
     Precondition: the kernels agree at t=0 (the decompositions are
     physically equivalent)."""
@@ -104,8 +110,9 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
     if d0 > 1e-10:
         raise InvariantViolation(
             f"decompositions are not equivalent at t=0: D(0) = {d0:.3e}")
-    trajs_a = _evolve_components(c, dec_a, config, V)
-    trajs_b = _evolve_components(c, dec_b, config, V)
+    components = dec_a.states + dec_b.states
+    trajs = evolve([c] * len(components), np.array(components), grid, config, V)
+    trajs_a, trajs_b = trajs[:len(dec_a.states)], trajs[len(dec_a.states):]
     times = trajs_a[0].times
     series = []
     for i, t in enumerate(times):
@@ -144,19 +151,22 @@ def separability_residual(c: NLSECoefficients, psi1: np.ndarray, psi2: np.ndarra
     """Compare the 2D family evolution of psi1 x psi2 (additive potential)
     against the tensor product of the 1D evolutions; returns [(t, L2 dist)].
 
-    Returns the series plus the two trajectories for further diagnostics
+    The two 1D factors are the two members of one batched :func:`evolve`
+    call, with their potentials stacked (zero where one is None).
+
+    Returns the series plus the trajectories for further diagnostics
     (e.g. marginal-density checks): (series, traj_2d, traj_1, traj_2).
     """
     grid2 = product_grid(grid)
     psi0 = tensor_product(psi1, psi2)
-    v2d = None
+    v2d = v1d = None
     if V1 is not None or V2 is not None:
         vx = np.zeros(grid.n) if V1 is None else np.asarray(V1)
         vy = np.zeros(grid.n) if V2 is None else np.asarray(V2)
         v2d = vx[:, None] + vy[None, :]
+        v1d = np.stack([vx, vy])
     traj_2d = evolve(c, psi0, grid2, config, v2d)
-    traj_1 = evolve(c, psi1, grid, config, V1)
-    traj_2 = evolve(c, psi2, grid, config, V2)
+    traj_1, traj_2 = evolve([c, c], np.stack([psi1, psi2]), grid, config, v1d)
     series = []
     for i, t in enumerate(traj_2d.times):
         prod = tensor_product(traj_1.frames[i], traj_2.frames[i])

@@ -20,7 +20,9 @@ push-forward law. Because the substitutions compose exactly like the gauge
 group, the law is automatically a group action. The algebra is certified
 numerically by :func:`commuting_residual`, not trusted: gauge-then-evolve and
 evolve-then-gauge must agree to the solver's order, and a deliberately
-perturbed law must not.
+perturbed law must not. Its two paths (c on psi0, and c' on the gauged psi0)
+are two members of one batched evolution per step size; each keeps its own
+density floor and phase anchor.
 """
 
 from dataclasses import dataclass
@@ -178,17 +180,20 @@ def commuting_residual(g: GaugeTransform, c: NLSECoefficients,
 
     Path A evolves psi0 under c and gauges every output frame; path B evolves
     the gauged initial state under cp (the push-forward of c unless an
-    explicit cp is supplied, e.g. for negative controls). With ``refine`` the
-    run is repeated at dt/2 and the observed order log2(sup/sup_fine) is
-    reported; the series itself is from the base dt.
+    explicit cp is supplied, e.g. for negative controls). The two paths are
+    the two members of one batched :func:`evolve` call, c and cp as two rows:
+    each keeps its own density floor and phase anchor, the term blocks are
+    the union of both (a linear path A multiplies finite fields by 0), and an
+    abort names the path that failed (member 0 is A, member 1 is B). With
+    ``refine`` the run is repeated at dt/2 and the observed order
+    log2(sup/sup_fine) is reported; the series itself is from the base dt.
     """
     if cp is None:
         cp = push_forward_family(g, c)
     psi0_p = apply_gauge(g, psi0, config.policy)
 
     def residuals(cfg):
-        traj_a = evolve(c, psi0, grid, cfg, V)
-        traj_b = evolve(cp, psi0_p, grid, cfg, V)
+        traj_a, traj_b = evolve([c, cp], np.stack([psi0, psi0_p]), grid, cfg, V)
         series = _gauge_distance_series(g, traj_a, traj_b, grid)
         frac = float(max(traj_a.regularized_fractions.max(),
                          traj_b.regularized_fractions.max()))

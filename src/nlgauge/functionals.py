@@ -32,9 +32,14 @@ class RegularizationPolicy:
         if not self.rho_floor_rel > 0:
             raise ValueError("rho_floor_rel must be positive")
 
-    def floor(self, rho: np.ndarray) -> float:
-        """Absolute floor eps for a given density field."""
-        return self.rho_floor_rel * float(rho.max()) if rho.size else 0.0
+    def floor(self, rho: np.ndarray, dimension: int | None = None):
+        """Absolute floor eps for a given density field. With ``dimension``
+        (the number of field axes) and a leading member axis on ``rho``, one
+        eps per member, shaped to broadcast against ``rho``."""
+        if dimension is None or rho.ndim == dimension:
+            return self.rho_floor_rel * float(rho.max()) if rho.size else 0.0
+        return self.rho_floor_rel * rho.max(axis=tuple(range(-dimension, 0)),
+                                            keepdims=True)
 
     def regularized_fraction(self, rho: np.ndarray) -> float:
         """Fraction of grid points at or below the floor."""
@@ -85,15 +90,18 @@ def divergence(vec: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _carry_over_invalid(s: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Replace entries where ~valid by the nearest previous valid value
-    along the row-major scan (leading invalid entries take the first valid)."""
-    flat_s = s.ravel().copy()
-    flat_v = valid.ravel()
-    idx = np.where(flat_v, np.arange(flat_s.size), -1)
-    np.maximum.accumulate(idx, out=idx)
-    first_valid = np.argmax(flat_v)
-    idx[idx < 0] = first_valid
-    return flat_s[idx].reshape(s.shape)
+    """For each member (leading axis of ``s``), replace entries where ~valid
+    by the nearest previous valid value along the row-major scan (leading
+    invalid entries take the first valid). A member without a valid point
+    is left as it is."""
+    flat_v = valid.reshape(len(s), -1)
+    flat_v = flat_v | ~flat_v.any(axis=1, keepdims=True)
+    own = np.arange(s.size).reshape(flat_v.shape)  # flat index of each entry
+    idx = np.where(flat_v, own, -1)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    # the entries before a member's first valid point are still -1
+    np.maximum(idx, own[:, :1] + np.argmax(flat_v, axis=1)[:, None], out=idx)
+    return s.ravel()[idx].reshape(s.shape)
 
 
 def _unwrap_rows(p: np.ndarray) -> np.ndarray:
@@ -112,7 +120,8 @@ def _unwrap_rows(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def unwrap_phase(psi: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+def unwrap_phase(psi: np.ndarray, valid: np.ndarray | None = None,
+                 dimension: int | None = None) -> np.ndarray:
     """Unwrapped argument of psi, anchored at the density maximum.
 
     1D: a single pass of 2*pi-adjustments along the axis. 2D: unwrap the
@@ -120,23 +129,36 @@ def unwrap_phase(psi: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray
     The anchor is the first maximum of ``|psi|``. Where ``valid`` is False
     the value is carried over from the nearest previous valid point of the
     scan.
+
+    ``dimension`` is the number of field axes (default ``psi.ndim``). One
+    more, leading, axis indexes members: each is unwrapped, anchored at its
+    own maximum and carried over on its own, bit for bit as if alone.
     """
+    dim = psi.ndim if dimension is None else dimension
+    if dim not in (1, 2) or psi.ndim - dim not in (0, 1):
+        raise ValueError("unwrap_phase supports 1D and 2D fields with at most "
+                         "one leading member axis")
+    members = psi.ndim > dim
     ang = np.arctan2(psi.imag, psi.real)
-    flat_anchor = int(np.abs(psi).argmax())
-    if psi.ndim == 1:
-        s = _unwrap_rows(ang)
-        s += ang[flat_anchor] - s[flat_anchor]
-    elif psi.ndim == 2:
-        anchor = np.unravel_index(flat_anchor, psi.shape)
-        s = _unwrap_rows(ang)
-        col = _unwrap_rows(ang[:, anchor[1]])
-        s += (col - s[:, anchor[1]])[:, None]
-        s += ang[anchor] - s[anchor]
+    if members:  # index arrays over the members, broadcasting against ang
+        flat = np.abs(psi).reshape(len(psi), -1).argmax(axis=1)
+        flat = flat.reshape((-1,) + (1,) * dim)
+        lead = (np.arange(len(psi)).reshape(flat.shape),)
     else:
-        raise ValueError("unwrap_phase supports 1D and 2D fields")
+        flat, lead = int(np.abs(psi).argmax()), ()
+    s = _unwrap_rows(ang)
+    if dim == 1:
+        anchor = lead + (flat,)
+    else:
+        i, j = divmod(flat, psi.shape[-1])
+        anchor = lead + (i, j)
+        column = (lead[0].ravel(), slice(None), j.ravel()) if members else (slice(None), j)
+        s += (_unwrap_rows(ang[column]) - s[column])[..., None]
+    s += ang[anchor] - s[anchor]
     if valid is not None and not valid.all():
-        if valid.any():
-            s = _carry_over_invalid(s, valid)
+        field = psi.shape[-dim:]
+        s = _carry_over_invalid(s.reshape((-1,) + field),
+                                valid.reshape((-1,) + field)).reshape(psi.shape)
     return s
 
 

@@ -17,9 +17,10 @@ config error. The manifest echoes the fully resolved config (all
 defaults filled in), so re-running ``nlgauge run manifest.json`` reproduces
 the outputs byte for byte. Floats are printed with 17 significant digits; the
 only randomness is the seeded field generator of the gauge-check experiment.
-``frames.csv`` is written in blocks of ``FRAME_BLOCK_ROWS`` rows, each
-formatted by one C-level ``%`` operation; its bytes are pinned by a test
-against a naive per-value writer, not only by rerun determinism.
+``frames.csv`` is written in blocks of ``FRAME_BLOCK_ROWS`` rows, each one
+byte matrix whose numbers are formatted by numpy (``_fmt17``); its bytes are
+pinned by a test against a naive per-value writer, not only by rerun
+determinism.
 """
 
 import argparse
@@ -303,11 +304,11 @@ def _build_potential(block: dict, grid: GridSpec):
 
 # ------------------------------------------------------------------- CSV ----
 
-def _create(path: Path):
+def _create(path: Path, mode: str = "w"):
     """Open ``path`` for writing, making its directory first: a run makes its
     output directory with its first file, so a failed run leaves none."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", newline="")
+    return open(path, mode, newline=None if "b" in mode else "")
 
 
 def write_series_csv(path: Path, rows, header=("t", "value")) -> None:
@@ -317,36 +318,53 @@ def write_series_csv(path: Path, rows, header=("t", "value")) -> None:
             fh.write(",".join("nan" if v is None else _fmt(v) for v in row) + "\n")
 
 
-# Rows of frames.csv formatted by one ``%`` operation. A block rather than a
-# whole frame bounds the temporaries of one write by the block size, not the
+# Rows of frames.csv in one byte matrix. A block rather than a whole frame
+# bounds the temporaries of one write by the block size (about 1.4 MB), not the
 # grid size, so writing does not raise the peak memory the evolution set.
-FRAME_BLOCK_ROWS = 4096
+FRAME_BLOCK_ROWS = 2048
 
 
 def write_frames_csv(path: Path, traj: Trajectory) -> None:
     """One row per grid point and frame, row-major in 2D.
 
-    ``"%.17g" % v`` and ``_fmt(v)`` give the same text for every double, so
-    the bytes are those of a per-value writer; the per-value work runs in C.
+    Each block of rows is one uint8 matrix in which a 0 byte means "no
+    character": t, the coordinates (formatted once per axis), then re, im and
+    rho from ``_fmt17.text``, whose free last byte of each cell takes the comma
+    or the newline. Deleting the 0 bytes gives the text of a per-value
+    ``"%.17g"`` writer.
     """
+    # imported on first use: a process that writes no frames does not compile
+    # the formatter, which costs it about 0.7 MB of resident memory
+    from . import _fmt17
+
     grid = traj.grid
-    axis = np.array([_fmt(v) for v in grid.axis_coordinate()], dtype=object)
-    row = "%s," * (1 + grid.dimension) + "%.17g,%.17g,%.17g\n"
-    with _create(path) as fh:
-        fh.write(",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n")
+    # one row of ASCII bytes per axis coordinate, padded with 0 bytes
+    coord = np.array([_fmt(v).encode() for v in grid.axis_coordinate()], dtype=bytes)
+    coord = coord.view(np.uint8).reshape(grid.n, -1)
+    width = coord.shape[1] + 1
+    with _create(path, "wb") as fh:
+        header = ",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n"
+        fh.write(header.encode())
         for t, frame in zip(traj.times, traj.frames):
-            t_text = _fmt(t)
+            head = np.frombuffer((_fmt(t) + ",").encode(), np.uint8)
             flat = frame.reshape(-1)
             for start in range(0, grid.npoints, FRAME_BLOCK_ROWS):
                 part = flat[start:start + FRAME_BLOCK_ROWS]
+                m = np.empty((part.size, head.size + grid.dimension * width
+                              + 3 * _fmt17.WIDTH), np.uint8)
+                m[:, :head.size] = head
+                col = head.size
                 index = np.unravel_index(np.arange(start, start + part.size), grid.shape)
-                block = np.empty((part.size, grid.dimension + 4), dtype=object)
-                block[:, 0] = t_text
-                block[:, 1:-3] = axis[np.column_stack(index)]
-                block[:, -3] = part.real
-                block[:, -2] = part.imag
-                block[:, -1] = density(part)
-                fh.write(row * part.size % tuple(block.ravel().tolist()))
+                for i in index:
+                    m[:, col:col + width - 1] = coord[i]
+                    m[:, col + width - 1] = ord(",")
+                    col += width
+                values = np.stack([part.real, part.imag, density(part)], axis=1)
+                cells = m[:, col:].reshape(part.size, 3, -1)
+                cells[...] = _fmt17.text(values).reshape(cells.shape)
+                cells[..., -1] = ord(",")
+                cells[:, -1, -1] = ord("\n")
+                fh.write(m.tobytes().translate(None, b"\0"))
 
 
 # ----------------------------------------------------------- experiments ----

@@ -129,10 +129,10 @@ class SimulationConfig:
     force_dt: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.t_final < np.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
 

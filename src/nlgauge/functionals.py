@@ -29,8 +29,9 @@ class RegularizationPolicy:
     rho_floor_rel: float = 1e-12
 
     def __post_init__(self):
-        if not self.rho_floor_rel > 0:
-            raise ValueError("rho_floor_rel must be positive")
+        if not 0 < self.rho_floor_rel < np.inf:
+            raise ValueError(f"rho_floor_rel must be positive and finite, "
+                             f"got {self.rho_floor_rel}")
 
     def floor(self, rho: np.ndarray, dimension: int | None = None):
         """Absolute floor eps for a given density field. With ``dimension``
@@ -94,13 +95,19 @@ def _carry_over_invalid(s: np.ndarray, valid: np.ndarray) -> np.ndarray:
     by the nearest previous valid value along the row-major scan (leading
     invalid entries take the first valid). A member without a valid point
     is left as it is."""
-    flat_v = valid.reshape(len(s), -1)
-    flat_v = flat_v | ~flat_v.any(axis=1, keepdims=True)
-    own = np.arange(s.size).reshape(flat_v.shape)  # flat index of each entry
-    idx = np.where(flat_v, own, -1)
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    # the entries before a member's first valid point are still -1
-    np.maximum(idx, own[:, :1] + np.argmax(flat_v, axis=1)[:, None], out=idx)
+    width = s.size // len(s)
+    flat = valid.ravel()
+    own = np.arange(s.size)  # flat index of each entry
+    idx = own * flat
+    np.maximum.accumulate(idx, out=idx)  # one scan through all members
+    # before its first valid point a member holds 0 or an earlier member's
+    # index: those entries take that first valid point
+    for start, first in zip(range(0, s.size, width),
+                            valid.reshape(-1, width).argmax(axis=1)):
+        if flat[start + first]:
+            idx[start:start + first] = start + first
+        else:
+            idx[start:start + width] = own[start:start + width]
     return s.ravel()[idx].reshape(s.shape)
 
 

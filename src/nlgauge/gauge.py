@@ -29,6 +29,8 @@ class GaugeTransform:
     def __post_init__(self):
         if self.lam == 0.0:
             raise ValueError("lam must be nonzero (invertibility)")
+        if not (np.isfinite(self.gamma) and np.isfinite(self.lam)):
+            raise ValueError(f"gamma and lam must be finite, got {self.gamma}, {self.lam}")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("theta must be finite")
 

@@ -255,6 +255,14 @@ class TestEvolve:
             ng.evolve(c, packet64, grid64, bad)
         del forced
 
+    @pytest.mark.parametrize("dt, t_final", [
+        (1e-3, np.inf), (np.inf, 1.0), (np.nan, 1.0), (1e-3, np.nan), (-1e-3, 1.0),
+        (1e-3, 0.0)])
+    def test_config_refuses_non_finite_or_non_positive_times(self, dt, t_final):
+        # t_final = inf used to be accepted, and n_steps() then overflowed
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimulationConfig(dt=dt, t_final=t_final)
+
     def test_frames_include_endpoints(self, grid64, packet64):
         cfg = SimulationConfig(dt=1e-3, t_final=0.01, output_every=3)
         traj = ng.evolve(NLSECoefficients(), packet64, grid64, cfg)

@@ -195,6 +195,12 @@ def test_policy_validation():
     assert DEFAULT_POLICY.rho_floor_rel == 1e-12
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
+def test_policy_refuses_a_non_finite_or_negative_floor(value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        RegularizationPolicy(rho_floor_rel=value)
+
+
 def test_regularized_fraction_zero_on_nodeless(packet64):
     rho = ng.density(packet64)
     assert DEFAULT_POLICY.regularized_fraction(rho) == 0.0

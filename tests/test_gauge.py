@@ -137,3 +137,18 @@ def test_lambda_zero_rejected():
 def test_theta_must_be_finite():
     with pytest.raises(ValueError):
         GaugeTransform(0.0, 1.0, np.inf)
+
+
+@pytest.mark.parametrize("gamma, lam", [
+    (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.nan), (0.0, np.inf),
+    (np.nan, np.inf)])
+def test_gamma_and_lam_must_be_finite(gamma, lam):
+    # a non-finite parameter would turn apply_gauge's output into NaN
+    with pytest.raises(ValueError, match="finite"):
+        GaugeTransform(gamma, lam)
+
+
+def test_invert_refuses_an_overflowing_inverse():
+    # 1 / 1e-320 overflows to inf
+    with pytest.raises(ValueError, match="finite"):
+        invert(GaugeTransform(1.0, 1e-320))

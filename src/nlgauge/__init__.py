@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .grid import (GridSpec, differentiate, ensure_field, inner_product,
                    integrate, l2_norm, laplacian, make_grid)
 from .functionals import (DEFAULT_POLICY, PhasePair, RegularizationPolicy,
-                          current, density, divergence, functional_R,
-                          modulus_phase, unwrap_phase)
+                          current, density, divergence, modulus_phase,
+                          unwrap_phase)
 from .gauge import GaugeTransform, apply_gauge, compose, identity, invert
 from .dynamics import (NLSECoefficients, NumericalBlowupError,
                        SimulationConfig, Trajectory, evolve,

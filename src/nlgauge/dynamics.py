@@ -4,11 +4,16 @@
                  + sum_i mu_i R_i[psi] psi
                  + alpha1 log|psi|^2 psi + alpha2 (arg psi) psi
 
-where R1..R5 are the quotient functionals of :mod:`nlgauge.functionals` built
-with the equation's own nu1, and arg is the unwrapped phase. Every term except
-the i*nu2 one acts as a real multiplier and conserves the norm pointwise; the
-nu2 term adds 2*nu2*lap(rho) to d/dt rho, whose integral vanishes on the
-periodic box. Hence the norm is conserved for every coefficient setting.
+where R1..R5 are the quotient functionals
+
+    R1 = div J / rho      R2 = lap rho / rho      R3 = J^2 / rho^2
+    R4 = J . grad rho / rho^2                     R5 = (grad rho)^2 / rho^2
+
+with J = :func:`nlgauge.functionals.current` built with the equation's own
+nu1, and arg is the unwrapped phase. Every term except the i*nu2 one acts as
+a real multiplier and conserves the norm pointwise; the nu2 term adds
+2*nu2*lap(rho) to d/dt rho, whose integral vanishes on the periodic box.
+Hence the norm is conserved for every coefficient setting.
 
 :func:`rhs` evaluates all terms from one batched spectral pass: one forward
 transform of the stacked [psi, rho], one inverse transform of the stacked
@@ -23,9 +28,13 @@ spectrum (``rfft``, and in 2D one ``fft`` over axis -2) with the half-layout
 multipliers ``grid.ik_half``. All terms except i*nu2*R2 are summed into one
 real field m, the density-floor gate is folded once into 1/rho, and the
 result is -i (nu1 lap psi + (m + i nu2 R2) psi).
-:func:`nlgauge.functionals.functional_R` computes each quotient on its own,
-with separate transforms, and is kept as the independent oracle that the
-tests compare :func:`rhs` against.
+
+:func:`rhs` is the package's only implementation of the quotients. Its
+oracles live in the tests: closed forms of every term on psi = exp(u + iS)
+with trig-polynomial u and S (``tests/test_closed_form.py``), and a
+per-quotient spectral reference with separate transforms and no gate
+(``quotient_reference`` in ``tests/conftest.py``), itself certified by the
+closed forms.
 
 Members. :func:`rhs`, :func:`step_rk4` and :func:`evolve` take either one
 member (an :class:`NLSECoefficients` and a field of ``grid.shape``) or a
@@ -133,8 +142,10 @@ class SimulationConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0 < self.t_final < np.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
+        if not (isinstance(self.output_every, (int, np.integer))
+                and self.output_every >= 1):
+            raise ValueError(f"output_every must be an integer >= 1, "
+                             f"got {self.output_every!r}")
 
     def n_steps(self) -> int:
         return max(1, int(round(self.t_final / self.dt)))
@@ -390,7 +401,7 @@ def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
     _check_initial(psi0, grid, len(members) if batch else None)
     for b, cb in enumerate(members):
         bound = stability_bound(cb, grid)
-        if config.dt > bound and not config.force_dt:
+        if not config.dt <= bound and not config.force_dt:
             raise ValueError(
                 f"{_member(batch, b)}dt={config.dt:g} exceeds the stability bound "
                 f"{bound:g} (pass force_dt=True to override)")

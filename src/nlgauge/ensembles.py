@@ -41,13 +41,14 @@ class MixedState:
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.weights) != len(self.states):
             raise ValueError("weights and states must have equal length")
-        if np.any(self.weights <= 0):
+        # every check is written so that NaN fails it
+        if not np.all(self.weights > 0):
             raise ValueError("weights must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
         for j, psi in enumerate(self.states):
             nrm = l2_norm(psi, self.grid)
-            if abs(nrm - 1.0) > 1e-10:
+            if not abs(nrm - 1.0) <= 1e-10:
                 raise ValueError(f"component {j} is not normalized: ||psi|| = {nrm!r}")
 
 
@@ -79,8 +80,10 @@ def equivalent_decompositions(psi_a: np.ndarray, psi_b: np.ndarray,
     """Two equal-weight decompositions with the same kernel: {psi_a, psi_b}
     and its rotation by ``angle`` inside the span. Requires an orthonormal
     input pair; the same-kernel property is self-checked at generation."""
+    if not -np.inf < angle < np.inf:
+        raise ValueError(f"angle must be finite, got {angle!r}")
     overlap = np.vdot(psi_a, psi_b) * grid.dx ** grid.dimension
-    if abs(overlap) > 1e-10:
+    if not abs(overlap) <= 1e-10:
         raise ValueError(f"input states are not orthogonal: <a,b> = {overlap:.3e}")
     half = np.array([0.5, 0.5])
     dec_a = MixedState(half, [np.array(psi_a), np.array(psi_b)], grid)
@@ -88,7 +91,7 @@ def equivalent_decompositions(psi_a: np.ndarray, psi_b: np.ndarray,
     dec_b = MixedState(half, [ca * psi_a + sa * psi_b,
                               -sa * psi_a + ca * psi_b], grid)
     check = frobenius_distance(density_matrix(dec_a), density_matrix(dec_b), grid)
-    if check > 1e-12 * max(1.0, abs(psi_a).max() ** 2):
+    if not check <= 1e-12 * max(1.0, abs(psi_a).max() ** 2):
         raise InvariantViolation(
             f"rotated decomposition kernel deviates by {check:.3e}")
     return dec_a, dec_b
@@ -107,7 +110,7 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
     physically equivalent)."""
     grid = dec_a.grid
     d0 = frobenius_distance(density_matrix(dec_a), density_matrix(dec_b), grid)
-    if d0 > 1e-10:
+    if not d0 <= 1e-10:
         raise InvariantViolation(
             f"decompositions are not equivalent at t=0: D(0) = {d0:.3e}")
     components = dec_a.states + dec_b.states

@@ -1,5 +1,11 @@
-"""Density, probability current, modulus/phase splitting, and the five
-nonlinear quotient functionals built from rho and J.
+"""Density, probability current and its divergence, modulus/phase splitting,
+and the density floor of the quotient terms.
+
+The five quotient functionals built from rho and J are computed in one place,
+:func:`nlgauge.dynamics.rhs`. :func:`current`, :func:`divergence` and
+:func:`nlgauge.grid.laplacian` take separate transforms and share no code with
+it; the tests build a per-quotient reference from them and certify both that
+reference and ``rhs`` against closed forms on psi = exp(u + iS).
 
 All quotients are regularized with a relative density floor: denominators use
 max(rho, eps) with eps = rho_floor_rel * max(rho). The floor keeps the
@@ -178,34 +184,3 @@ def modulus_phase(psi: np.ndarray, policy: RegularizationPolicy = DEFAULT_POLICY
     phase = unwrap_phase(psi, valid=valid)
     return PhasePair(modulus=modulus, phase=phase,
                      regularized_fraction=float(np.mean(~valid)))
-
-
-def functional_R(index: int, psi: np.ndarray, grid: GridSpec, nu1: float,
-                 policy: RegularizationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """The five real quotient functionals:
-
-        R1 = div J / rho      R2 = lap rho / rho      R3 = J^2 / rho^2
-        R4 = J . grad rho / rho^2                     R5 = (grad rho)^2 / rho^2
-
-    with floored denominators and J = current(psi, grid, nu1).
-    """
-    if index not in (1, 2, 3, 4, 5):
-        raise ValueError(f"index must be in 1..5, got {index}")
-    rho = density(psi)
-    eps = policy.floor(rho)
-    rho_s = np.maximum(rho, eps)
-    if index == 1:
-        return divergence(current(psi, grid, nu1), grid) / rho_s
-    if index == 2:
-        lap_rho = np.zeros(grid.shape)
-        for axis in range(grid.dimension):
-            lap_rho += differentiate(rho, grid, axis=axis, order=2).real
-        return lap_rho / rho_s
-    grad_rho = np.stack([differentiate(rho, grid, axis=a, order=1).real
-                         for a in range(grid.dimension)])
-    if index == 5:
-        return np.sum(grad_rho ** 2, axis=0) / rho_s ** 2
-    jvec = current(psi, grid, nu1)
-    if index == 3:
-        return np.sum(jvec ** 2, axis=0) / rho_s ** 2
-    return np.sum(jvec * grad_rho, axis=0) / rho_s ** 2

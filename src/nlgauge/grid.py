@@ -17,8 +17,12 @@ They act on the last ``grid.dimension`` axes, so a stack of fields is one call:
 - :func:`rfft_field` / :func:`irfft_field` transform a real field through its
   half spectrum: ``rfft`` over the last axis, then, in 2D, one ``fft`` over
   axis -2. Its multipliers are the full-layout ones cut to the modes 0..n/2
-  of the last axis (``GridSpec.ik_half``). Casting a real field to complex
-  and using the full transform would cost more and round worse.
+  of the last axis (``GridSpec.ik_half``). For a real field on its own,
+  casting to complex and using the full transform would cost more and round
+  worse. :func:`nlgauge.dynamics.rhs` still carries rho in its complex stack
+  with psi, because one transform of the stack is cheaper than a separate
+  half-spectrum pass for rho; only its current goes through the half
+  spectrum.
 """
 
 from dataclasses import dataclass
@@ -108,7 +112,7 @@ class GridSpec:
 def make_grid(dimension: int, n: int, length: float) -> GridSpec:
     """Build a validated periodic grid.
 
-    Requires dimension in {1, 2}, even n >= 8, length > 0.
+    Requires dimension in {1, 2}, even n >= 8, 0 < length < inf.
     """
     if dimension not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
@@ -116,8 +120,8 @@ def make_grid(dimension: int, n: int, length: float) -> GridSpec:
         raise ValueError(f"n must be >= 8, got {n}")
     if n % 2 != 0:
         raise ValueError(f"n must be even for the spectral layout, got {n}")
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not 0 < length < np.inf:
+        raise ValueError(f"length must be positive and finite, got {length}")
     return GridSpec(dimension=dimension, n=int(n), length=float(length))
 
 

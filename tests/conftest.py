@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nlgauge as ng
+from nlgauge.functionals import DEFAULT_POLICY
 
 
 def trig_packet(grid, depth=1.2, ripple=0.15, s1=0.3, s2=0.2):
@@ -22,6 +23,38 @@ def trig_packet(grid, depth=1.2, ripple=0.15, s1=0.3, s2=0.2):
         s = s[:, None] + s[None, :]
     psi = np.exp(u + 1j * s)
     return psi / ng.l2_norm(psi, grid)
+
+
+def quotient_reference(index, psi, grid, nu1, policy=DEFAULT_POLICY):
+    """One quotient functional on its own, from the public operators:
+
+        R1 = div J / rho      R2 = lap rho / rho      R3 = J^2 / rho^2
+        R4 = J . grad rho / rho^2                     R5 = (grad rho)^2 / rho^2
+
+    with J = current(psi, grid, nu1), separate transforms per derivative and
+    floored denominators but no gate below the floor. The spectral reference
+    the tests hold ``rhs`` against; it is in turn certified against closed
+    forms in test_closed_form.py.
+    """
+    rho = ng.density(psi)
+    rho_s = np.maximum(rho, policy.floor(rho))
+    if index == 1:
+        return ng.divergence(ng.current(psi, grid, nu1), grid) / rho_s
+    if index == 2:
+        lap_rho = np.zeros(grid.shape)
+        for axis in range(grid.dimension):
+            lap_rho += ng.differentiate(rho, grid, axis=axis, order=2).real
+        return lap_rho / rho_s
+    grad_rho = np.stack([ng.differentiate(rho, grid, axis=a, order=1).real
+                         for a in range(grid.dimension)])
+    if index == 5:
+        return np.sum(grad_rho ** 2, axis=0) / rho_s ** 2
+    jvec = ng.current(psi, grid, nu1)
+    if index == 3:
+        return np.sum(jvec ** 2, axis=0) / rho_s ** 2
+    if index == 4:
+        return np.sum(jvec * grad_rho, axis=0) / rho_s ** 2
+    raise ValueError(f"index must be in 1..5, got {index}")
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import nlgauge as ng
 from nlgauge import NLSECoefficients, SimulationConfig
 from nlgauge.dynamics import NumericalBlowupError
 
-from conftest import trig_packet
+from conftest import quotient_reference, trig_packet
 
 
 def eigenmode(grid, mode=2):
@@ -38,7 +38,7 @@ class TestRHS:
         psi = ng.states.gaussian(grid64, width=2.0).real.astype(complex)
         c = NLSECoefficients(nu1=-0.5, nu2=0.3)
         out = ng.rhs(c, psi, grid64)
-        r2 = ng.functional_R(2, psi, grid64, c.nu1)
+        r2 = quotient_reference(2, psi, grid64, c.nu1)
         lap = ng.laplacian(psi, grid64)
         assert np.max(np.abs(out - (c.nu2 * r2 * psi - 1j * c.nu1 * lap))) < 1e-11
         production = 2 * np.real(np.conj(psi) * out)
@@ -46,17 +46,17 @@ class TestRHS:
         assert np.max(np.abs(production - 2 * c.nu2 * lap_rho)) < 1e-10
 
     def test_matches_functional_composition(self, grid64, packet64):
-        # independent assembly from the public functionals
+        # independent assembly from the test reference of each quotient
         import dataclasses
         c = NLSECoefficients(nu1=-0.5, nu2=0.04, mu1=0.1, mu2=-0.05, mu3=0.07,
                              mu4=0.03, mu5=-0.02, alpha1=0.1, alpha2=0.05)
         V = ng.states.harmonic_potential(grid64, omega=0.5)
         c_with_v = dataclasses.replace(c, mu0=0.8)
         h = c.nu1 * ng.laplacian(packet64, grid64) + 0.8 * V * packet64
-        h = h + 1j * c.nu2 * ng.functional_R(2, packet64, grid64, c.nu1) * packet64
+        h = h + 1j * c.nu2 * quotient_reference(2, packet64, grid64, c.nu1) * packet64
         for i, mu in enumerate([c.mu1, c.mu2, c.mu3, c.mu4, c.mu5], start=1):
             if mu:
-                h = h + mu * ng.functional_R(i, packet64, grid64, c.nu1) * packet64
+                h = h + mu * quotient_reference(i, packet64, grid64, c.nu1) * packet64
         rho = ng.density(packet64)
         h = h + c.alpha1 * np.log(np.maximum(rho, 1e-12 * rho.max())) * packet64
         h = h + c.alpha2 * ng.modulus_phase(packet64).phase * packet64
@@ -82,7 +82,7 @@ class TestRHS:
         grid = ng.make_grid(2, 32, 20.0)
         c = NLSECoefficients(nu1=-0.5, mu1=0.5)
         psi = non_product_packet(grid)
-        r1_term = c.mu1 * ng.functional_R(1, psi, grid, c.nu1) * psi
+        r1_term = c.mu1 * quotient_reference(1, psi, grid, c.nu1) * psi
         expect = -1j * (c.nu1 * ng.laplacian(psi, grid) + r1_term)
         out = ng.rhs(c, psi, grid)
         scale = np.max(np.abs(expect))
@@ -145,11 +145,12 @@ def non_product_packet(grid):
 
 
 def composed_rhs(c, psi, grid, V, mask=None):
-    """The family's rhs assembled from the public functionals; quotient
-    terms are multiplied by ``mask`` when one is given."""
-    quot = 1j * c.nu2 * ng.functional_R(2, psi, grid, c.nu1)
+    """The family's rhs assembled from :func:`quotient_reference` and the
+    public operators; quotient terms are multiplied by ``mask`` when one is
+    given."""
+    quot = 1j * c.nu2 * quotient_reference(2, psi, grid, c.nu1)
     for i, mu in enumerate([c.mu1, c.mu2, c.mu3, c.mu4, c.mu5], start=1):
-        quot = quot + mu * ng.functional_R(i, psi, grid, c.nu1)
+        quot = quot + mu * quotient_reference(i, psi, grid, c.nu1)
     if mask is not None:
         quot = quot * mask
     rho = ng.density(psi)
@@ -262,6 +263,13 @@ class TestEvolve:
         # t_final = inf used to be accepted, and n_steps() then overflowed
         with pytest.raises(ValueError, match="positive and finite"):
             SimulationConfig(dt=dt, t_final=t_final)
+
+    @pytest.mark.parametrize("output_every", [2.5, np.nan, np.inf])
+    def test_config_refuses_a_non_integer_output_every(self, output_every):
+        # 2.5 used to be accepted and wrote every 5th step; nan and inf
+        # passed the >= 1 check
+        with pytest.raises(ValueError, match="output_every"):
+            SimulationConfig(dt=1e-3, t_final=1.0, output_every=output_every)
 
     def test_frames_include_endpoints(self, grid64, packet64):
         cfg = SimulationConfig(dt=1e-3, t_final=0.01, output_every=3)

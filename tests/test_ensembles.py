@@ -26,6 +26,12 @@ class TestMixedState:
         with pytest.raises(ValueError, match="positive"):
             MixedState(np.array([1.5, -0.5]), list(pair), grid)
 
+    @pytest.mark.parametrize("weights, scale", [
+        ([0.5, np.nan], 1.0), ([np.nan, np.nan], 1.0), ([0.5, 0.5], np.nan)])
+    def test_nan_weights_or_states_refused(self, grid, pair, weights, scale):
+        with pytest.raises(ValueError):
+            MixedState(np.array(weights), [pair[0], scale * pair[1]], grid)
+
     def test_normalization_validation(self, grid, pair):
         with pytest.raises(ValueError, match="normalized"):
             MixedState(np.array([0.5, 0.5]), [pair[0], 1.1 * pair[1]], grid)
@@ -82,6 +88,14 @@ class TestEquivalentDecompositions:
         skew = (pair[0] + pair[1]) / np.sqrt(2)
         with pytest.raises(ValueError, match="orthogonal"):
             ng.equivalent_decompositions(pair[0], skew, np.pi / 4, grid)
+
+
+    @pytest.mark.parametrize("angle, scale", [
+        (np.nan, 1.0), (np.inf, 1.0), (np.pi / 4, np.nan)])
+    def test_rejects_non_finite_input(self, grid, pair, angle, scale):
+        # each used to pass the same-kernel self-check and return nan states
+        with pytest.raises(ValueError):
+            ng.equivalent_decompositions(pair[0], scale * pair[1], angle, grid)
 
 
 class TestMixedDivergence:

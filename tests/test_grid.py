@@ -25,6 +25,8 @@ class TestMakeGrid:
         (1, 6, 1.0),     # too small
         (1, 64, 0.0),    # non-positive length
         (1, 64, -2.0),
+        (1, 64, np.inf),  # the stability bound would be nan
+        (1, 64, np.nan),
         (3, 64, 1.0),    # unsupported dimension
         (0, 64, 1.0),
     ])

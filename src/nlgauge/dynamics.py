@@ -146,9 +146,14 @@ class SimulationConfig:
                 and self.output_every >= 1):
             raise ValueError(f"output_every must be an integer >= 1, "
                              f"got {self.output_every!r}")
+        # the run ends at t_final exactly, so it must be a whole number of steps
+        steps = self.t_final / self.dt
+        if not (np.rint(steps) >= 1 and abs(steps - np.rint(steps)) <= 1e-9 * steps):
+            raise ValueError(f"t_final must be a whole number of dt steps, "
+                             f"got t_final/dt = {steps!r}")
 
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        return int(round(self.t_final / self.dt))
 
     def refined(self, factor: int = 2) -> "SimulationConfig":
         return replace(self, dt=self.dt / factor,

@@ -10,6 +10,14 @@ pairs of distinct decompositions with identical W. Linear evolution keeps the
 kernels of such pairs equal; a nonlinear member of the family does not, and
 the divergence D(t) quantifies the split.
 
+The probe never builds a kernel. It takes an orthonormal basis Q of the span
+of the J components of both mixtures (thin QR of the stacked states), so that
+W = Q K Q^H with the J x J factor K = sum_j lambda_j a_j a_j^H, a_j = Q^H psi_j,
+and D = dx^d ||K_a - K_b||_F at O(J^2 N^d) cost. Mixtures on 2D grids are
+therefore accepted. The N x N kernel functions (:func:`density_matrix`,
+:func:`frobenius_distance`, :func:`trace_distance`) are the oracle that the
+factor is tested against, not a path of the probe.
+
 Both experiments evolve their independent states as the members of one
 batched :func:`nlgauge.dynamics.evolve` call per step size (the components
 of both decompositions; the two 1D factors, with their potentials stacked).
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NLSECoefficients, SimulationConfig, evolve
-from .grid import GridSpec, l2_norm, make_grid
+from .grid import GridSpec, ensure_field, l2_norm, make_grid
 
 
 class InvariantViolation(RuntimeError):
@@ -47,6 +55,7 @@ class MixedState:
         if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
         for j, psi in enumerate(self.states):
+            ensure_field(psi, self.grid, f"component {j}")
             nrm = l2_norm(psi, self.grid)
             if not abs(nrm - 1.0) <= 1e-10:
                 raise ValueError(f"component {j} is not normalized: ||psi|| = {nrm!r}")
@@ -57,8 +66,32 @@ def _kernel(weights, states) -> np.ndarray:
     return np.einsum("j,jx,jy->xy", weights, psis, psis.conj())
 
 
+def _factor_distance(weights_a, states_a, weights_b, states_b,
+                     grid: GridSpec) -> float:
+    """dx-weighted Frobenius distance of the kernels of two mixtures, from
+    their J x J factors on an orthonormal basis of the components' span.
+
+    Every component is projected by the same matrix-vector product, so equal
+    states give bit-equal factors and identical mixtures give exactly 0."""
+    phi = np.array([*states_a, *states_b], dtype=complex)
+    phi = phi.reshape(len(phi), -1)
+    qh = np.linalg.qr(phi.T)[0].conj().T
+
+    def factor(weights, rows):
+        k = 0.0
+        for w, psi in zip(weights, rows):
+            a = qh @ psi
+            k = k + w * np.outer(a, a.conj())
+        return k
+
+    n_a = len(states_a)
+    diff = factor(weights_a, phi[:n_a]) - factor(weights_b, phi[n_a:])
+    return float(np.linalg.norm(diff) * grid.dx ** grid.dimension)
+
+
 def density_matrix(m: MixedState) -> np.ndarray:
-    """Kernel W(x, y) = sum_j w_j psi_j(x) conj(psi_j(y)) (1D states)."""
+    """Kernel W(x, y) = sum_j w_j psi_j(x) conj(psi_j(y)) (1D states); the
+    N x N oracle for the factor distance of the probe."""
     if m.grid.dimension != 1:
         raise ValueError("density_matrix expects 1D component states")
     return _kernel(m.weights, m.states)
@@ -90,7 +123,8 @@ def equivalent_decompositions(psi_a: np.ndarray, psi_b: np.ndarray,
     ca, sa = np.cos(angle), np.sin(angle)
     dec_b = MixedState(half, [ca * psi_a + sa * psi_b,
                               -sa * psi_a + ca * psi_b], grid)
-    check = frobenius_distance(density_matrix(dec_a), density_matrix(dec_b), grid)
+    check = _factor_distance(dec_a.weights, dec_a.states,
+                             dec_b.weights, dec_b.states, grid)
     if not check <= 1e-12 * max(1.0, abs(psi_a).max() ** 2):
         raise InvariantViolation(
             f"rotated decomposition kernel deviates by {check:.3e}")
@@ -100,7 +134,8 @@ def equivalent_decompositions(psi_a: np.ndarray, psi_b: np.ndarray,
 def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
                      config: SimulationConfig, V: np.ndarray | None = None):
     """Evolve every component of both decompositions independently and return
-    [(t, D(t))] with D the dx-weighted Frobenius distance of the kernels.
+    [(t, D(t))] with D the dx-weighted Frobenius distance of the kernels,
+    computed from their J x J factors (1D or 2D states).
 
     The components of both decompositions are the members of one batched
     :func:`evolve` call: each is evolved as if alone, with its own density
@@ -109,7 +144,8 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
     Precondition: the kernels agree at t=0 (the decompositions are
     physically equivalent)."""
     grid = dec_a.grid
-    d0 = frobenius_distance(density_matrix(dec_a), density_matrix(dec_b), grid)
+    d0 = _factor_distance(dec_a.weights, dec_a.states,
+                          dec_b.weights, dec_b.states, grid)
     if not d0 <= 1e-10:
         raise InvariantViolation(
             f"decompositions are not equivalent at t=0: D(0) = {d0:.3e}")
@@ -120,9 +156,9 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
     series = []
     for i, t in enumerate(times):
         # not MixedStates: frames may drift in norm beyond their 1e-10 check
-        wa = _kernel(dec_a.weights, [tr.frames[i] for tr in trajs_a])
-        wb = _kernel(dec_b.weights, [tr.frames[i] for tr in trajs_b])
-        series.append((float(t), frobenius_distance(wa, wb, grid)))
+        d = _factor_distance(dec_a.weights, [tr.frames[i] for tr in trajs_a],
+                             dec_b.weights, [tr.frames[i] for tr in trajs_b], grid)
+        series.append((float(t), d))
     return series
 
 

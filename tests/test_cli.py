@@ -243,6 +243,7 @@ class TestConfigErrors:
         {"grid": {"dimension": 2, "n": 16, "length": 20.0},
          "initial_state": {"preset": "two-gaussian"}},
         {"initial_state": {"preset": "gaussian", "width": 0.0}},
+        {"run": {"dt": 1e-3, "t_final": 0.0105, "seed": 7}},  # 10.5 steps
     ])
     def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys,
                                                       overrides):
@@ -456,9 +457,13 @@ class TestConvergenceExperiment:
 
 
 def test_console_entry_point(tmp_path):
-    # module execution must behave like the installed script
+    # module execution must behave like the installed script; the package
+    # comes from this checkout, also when it is not installed
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-m", "nlgauge.cli", "presets"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "gaussian(center" in result.stdout
 

@@ -271,6 +271,19 @@ class TestEvolve:
         with pytest.raises(ValueError, match="output_every"):
             SimulationConfig(dt=1e-3, t_final=1.0, output_every=output_every)
 
+    @pytest.mark.parametrize("t_final", [0.0105, 1e-9])
+    def test_config_refuses_a_fractional_step_count(self, t_final):
+        # 0.0105 used to end silently at t = 0.010, and 1e-9 ran one full
+        # step to t = 0.001
+        with pytest.raises(ValueError, match="whole number of dt steps"):
+            SimulationConfig(dt=1e-3, t_final=t_final)
+
+    @pytest.mark.parametrize("dt, t_final, steps", [(0.008, 0.08, 10), (0.1, 0.3, 3)])
+    def test_config_accepts_a_whole_step_count_up_to_rounding(self, dt, t_final,
+                                                              steps):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        assert SimulationConfig(dt=dt, t_final=t_final).n_steps() == steps
+
     def test_frames_include_endpoints(self, grid64, packet64):
         cfg = SimulationConfig(dt=1e-3, t_final=0.01, output_every=3)
         traj = ng.evolve(NLSECoefficients(), packet64, grid64, cfg)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nlgauge as ng
-from nlgauge import MixedState, NLSECoefficients, SimulationConfig
+from nlgauge import MixedState, NLSECoefficients, SimulationConfig, ensembles
 from nlgauge.ensembles import InvariantViolation
 
 from conftest import trig_packet
@@ -31,6 +33,14 @@ class TestMixedState:
     def test_nan_weights_or_states_refused(self, grid, pair, weights, scale):
         with pytest.raises(ValueError):
             MixedState(np.array(weights), [pair[0], scale * pair[1]], grid)
+
+    def test_shape_mismatch_refused(self, pair):
+        # a normalized 128-point state on a 256-point grid used to be
+        # accepted, and density_matrix returned a 128 x 128 kernel
+        fine = ng.make_grid(1, 256, 40.0)
+        psi = pair[0] / ng.l2_norm(pair[0], fine)
+        with pytest.raises(ValueError, match="shape"):
+            MixedState(np.array([1.0]), [psi], fine)
 
     def test_normalization_validation(self, grid, pair):
         with pytest.raises(ValueError, match="normalized"):
@@ -65,6 +75,47 @@ class TestDensityMatrix:
         m2 = MixedState(np.array([0.5, 0.5]),
                         [np.exp(0.9j) * pair[0], np.exp(-2.1j) * pair[1]], grid)
         assert np.max(np.abs(ng.density_matrix(m1) - ng.density_matrix(m2))) < 1e-14
+
+
+def _random_states(rng, grid, k):
+    raw = rng.normal(size=(k,) + grid.shape) + 1j * rng.normal(size=(k,) + grid.shape)
+    return [ng.states.normalized(v, grid) for v in raw]
+
+
+class TestFactorDistance:
+    """The J x J factor route of the probe against the N x N kernel oracle."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    def test_matches_kernel_oracle(self, grid, seed, rank):
+        rng = np.random.default_rng(seed)
+        j_a, j_b = rng.integers(1, 4, size=2)
+        if rank == "full":
+            states_a = _random_states(rng, grid, j_a)
+            states_b = _random_states(rng, grid, j_b)
+        else:
+            # the whole stack has rank 2: b lies in the span of the first two
+            # states of a, and with j_a = 3 the third repeats the first up to
+            # a phase
+            basis = _random_states(rng, grid, 2)
+            states_a = basis + [np.exp(0.7j) * basis[0]][:max(j_a - 2, 0)]
+            coef = rng.normal(size=(j_b, 2)) + 1j * rng.normal(size=(j_b, 2))
+            states_b = [ng.states.normalized(c0 * basis[0] + c1 * basis[1], grid)
+                        for c0, c1 in coef]
+        dec_a = MixedState(rng.dirichlet(np.ones(len(states_a))), states_a, grid)
+        dec_b = MixedState(rng.dirichlet(np.ones(len(states_b))), states_b, grid)
+        oracle = ng.frobenius_distance(ng.density_matrix(dec_a),
+                                       ng.density_matrix(dec_b), grid)
+        assert oracle > 0.05   # a relative comparison with something to compare
+        got = ensembles._factor_distance(dec_a.weights, dec_a.states,
+                                         dec_b.weights, dec_b.states, grid)
+        assert abs(got - oracle) <= 1e-13 * oracle
+
+    def test_equal_mixtures_give_exact_zero(self, grid, pair):
+        dec_a, _ = ng.equivalent_decompositions(*pair, 0.3, grid)
+        assert ensembles._factor_distance(dec_a.weights, dec_a.states,
+                                          dec_a.weights, list(dec_a.states),
+                                          grid) == 0.0
 
 
 class TestEquivalentDecompositions:
@@ -125,6 +176,61 @@ class TestMixedDivergence:
         dec_c = MixedState(np.array([0.5, 0.5]), list(other), grid)
         with pytest.raises(InvariantViolation):
             ng.mixed_divergence(NLSECoefficients(), dec_a, dec_c, self.cfg)
+
+    def test_never_builds_a_kernel(self, grid, pair, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probe built an N x N kernel")
+        monkeypatch.setattr(ensembles, "_kernel", refuse)
+        monkeypatch.setattr(ensembles, "density_matrix", refuse)
+        dec_a, dec_b = ng.equivalent_decompositions(*pair, np.pi / 4, grid)
+        series = ng.mixed_divergence(NLSECoefficients(nu1=-0.5, alpha1=1.0),
+                                     dec_a, dec_b, self.cfg)
+        assert max(v for _, v in series) > 1e-4
+
+    def test_frame_memory_is_linear_in_n(self):
+        # two N x N kernels at N = 2048 would take 134 MB
+        grid = ng.make_grid(1, 2048, 40.0)
+        dec_a, dec_b = ng.equivalent_decompositions(
+            *ng.states.two_gaussian_pair(grid), np.pi / 4, grid)
+        cfg = SimulationConfig(dt=1e-4, t_final=1e-4)
+        c = NLSECoefficients(nu1=-0.5)
+        ng.mixed_divergence(c, dec_a, dec_b, cfg)   # warm the transform caches
+        tracemalloc.start()
+        try:
+            series = ng.mixed_divergence(c, dec_a, dec_b, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 2
+        assert peak < 2e6
+
+    def test_2d_mixtures_match_the_flattened_kernel(self):
+        grid = ng.make_grid(2, 16, 24.0)   # dx = 1.5, so dx^2 != dx
+        psi_a = ng.states.gaussian(grid, center=(7.5, 12.0), width=2.2)
+        psi_b = ng.states.gaussian(grid, center=(16.5, 10.5), width=(1.8, 2.7))
+        psi_b = ng.states.normalized(
+            psi_b - np.vdot(psi_a, psi_b) * grid.dx ** 2 * psi_a, grid)
+        dec_a, dec_b = ng.equivalent_decompositions(psi_a, psi_b, 0.6, grid)
+        cfg = SimulationConfig(dt=0.01, t_final=0.3, output_every=5)
+        peaks = {}
+        for label, c in (("linear", NLSECoefficients(nu1=-0.5)),
+                         ("log", NLSECoefficients(nu1=-0.5, alpha1=1.0))):
+            series = ng.mixed_divergence(c, dec_a, dec_b, cfg)
+            # oracle: the same batch, flattened 256 x 256 kernels
+            trajs = ng.evolve([c] * 4, np.array(dec_a.states + dec_b.states),
+                              grid, cfg)
+            for i, (t, d) in enumerate(series):
+                kernels = []
+                for dec, tr in ((dec_a, trajs[:2]), (dec_b, trajs[2:])):
+                    rows = [traj.frames[i].ravel() for traj in tr]
+                    kernels.append(sum(w * np.outer(r, r.conj())
+                                       for w, r in zip(dec.weights, rows)))
+                oracle = np.linalg.norm(kernels[0] - kernels[1]) * grid.dx ** 2
+                assert t == trajs[0].times[i]
+                assert abs(d - oracle) <= 1e-13 * max(oracle, 1.0)
+            peaks[label] = max(d for _, d in series)
+        assert peaks["linear"] <= 1e-9
+        assert peaks["log"] > 1e-4
 
 
 class TestTensorProduct:

@@ -8,7 +8,9 @@ Usage:
 Exit status: 0 success, 2 config error, 3 numerical failure (NaN/blow-up),
 4 invariant violation (e.g. the same-kernel precondition of mixprobe).
 Every failure prints a single machine-parsable line ``<CATEGORY>: <reason>``
-and writes nothing: the output directory is made with the first file.
+and leaves the file system as it found it: the output directory is made with
+the first file, and a file written during the evolution is removed, with
+any directory made for it.
 
 Config handling is table-driven: the rows of each block, preset, potential
 and experiment validate a config, fill its defaults, list the ``presets`` and
@@ -17,10 +19,12 @@ config error. The manifest echoes the fully resolved config (all
 defaults filled in), so re-running ``nlgauge run manifest.json`` reproduces
 the outputs byte for byte. Floats are printed with 17 significant digits; the
 only randomness is the seeded field generator of the gauge-check experiment.
-``frames.csv`` is written in blocks of ``FRAME_BLOCK_ROWS`` rows, each one
-byte matrix whose numbers are formatted by numpy (``_fmt17``); its bytes are
-pinned by a test against a naive per-value writer, not only by rerun
-determinism.
+``frames.csv`` is written frame by frame as ``evolve`` produces the frames,
+so memory does not grow with their number. It goes out in blocks of
+``FRAME_BLOCK_ROWS`` rows, each one byte matrix whose numbers are formatted by
+numpy (``_fmt17``), under a temporary name renamed into place when the run
+succeeds. Its bytes are pinned by a test against a naive per-value writer,
+not only by rerun determinism.
 """
 
 import argparse
@@ -319,52 +323,95 @@ def write_series_csv(path: Path, rows, header=("t", "value")) -> None:
 
 
 # Rows of frames.csv in one byte matrix. A block rather than a whole frame
-# bounds the temporaries of one write by the block size (about 1.4 MB), not the
-# grid size, so writing does not raise the peak memory the evolution set.
-FRAME_BLOCK_ROWS = 2048
+# bounds the temporaries of one write by the block size (about 2.8 MB), not the
+# grid size, so writing does not raise the peak memory the evolution set (an
+# RK4 step at 128^2 peaks near 4.1 MB). Each block also carries about 0.3 ms
+# of fixed formatter overhead, so fewer, larger blocks write faster.
+FRAME_BLOCK_ROWS = 4096
+
+
+class _FramesWriter:
+    """``frames.csv`` written frame by frame: ``write(t, frame)`` appends one
+    row per grid point, row-major in 2D, as the frame arrives.
+
+    Each block of rows is one uint8 matrix in which a 0 byte means "no
+    character": t, the coordinates (formatted once per run, like the
+    header), then re, im and rho from ``_fmt17.text``, whose free last byte
+    of each cell takes the comma or the newline. Deleting the 0 bytes gives
+    the text of a per-value ``"%.17g"`` writer.
+
+    A context manager: the file is opened at the first frame under the
+    temporary name ``<name>.part`` and renamed to ``path`` when the block
+    ends without an error. After an error it is removed, with every
+    directory it made, so a failed run leaves the file system as it was.
+    """
+
+    def __init__(self, path, grid: GridSpec):
+        self.path, self.grid, self.fh = Path(path), grid, None
+
+    def __enter__(self):
+        return self
+
+    def _open(self):
+        grid, path = self.grid, self.path
+        self.made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+        self.part = path.with_name(path.name + ".part")
+        self.fh = _create(self.part, "wb")
+        header = ",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n"
+        self.fh.write(header.encode())
+        # one row of ASCII bytes per axis coordinate, padded with 0 bytes
+        coord = np.array([_fmt(v).encode() for v in grid.axis_coordinate()], dtype=bytes)
+        self.coord = coord.view(np.uint8).reshape(grid.n, -1)
+
+    def __call__(self, t, frame):
+        # imported on first use: a process that writes no frames does not
+        # compile the formatter, which costs it about 0.7 MB of resident memory
+        from . import _fmt17
+
+        if self.fh is None:
+            self._open()
+        grid, coord = self.grid, self.coord
+        width = coord.shape[1] + 1
+        head = np.frombuffer((_fmt(t) + ",").encode(), np.uint8)
+        flat = frame.reshape(-1)
+        for start in range(0, grid.npoints, FRAME_BLOCK_ROWS):
+            part = flat[start:start + FRAME_BLOCK_ROWS]
+            m = np.empty((part.size, head.size + grid.dimension * width
+                          + 3 * _fmt17.WIDTH), np.uint8)
+            m[:, :head.size] = head
+            col = head.size
+            index = np.unravel_index(np.arange(start, start + part.size), grid.shape)
+            for i in index:
+                m[:, col:col + width - 1] = coord[i]
+                m[:, col + width - 1] = ord(",")
+                col += width
+            values = np.stack([part.real, part.imag, density(part)], axis=1)
+            cells = m[:, col:].reshape(part.size, 3, -1)
+            cells[...] = _fmt17.text(values).reshape(cells.shape)
+            cells[..., -1] = ord(",")
+            cells[:, -1, -1] = ord("\n")
+            self.fh.write(m.tobytes().translate(None, b"\0"))
+
+    def __exit__(self, error, *_):
+        if error is None and self.fh is None:
+            self._open()  # no frames: the header alone
+        if self.fh is None:
+            return
+        self.fh.close()
+        if error is None:
+            self.part.replace(self.path)
+        else:
+            self.part.unlink()
+            for d in self.made:
+                d.rmdir()
 
 
 def write_frames_csv(path: Path, traj: Trajectory) -> None:
-    """One row per grid point and frame, row-major in 2D.
-
-    Each block of rows is one uint8 matrix in which a 0 byte means "no
-    character": t, the coordinates (formatted once per axis), then re, im and
-    rho from ``_fmt17.text``, whose free last byte of each cell takes the comma
-    or the newline. Deleting the 0 bytes gives the text of a per-value
-    ``"%.17g"`` writer.
-    """
-    # imported on first use: a process that writes no frames does not compile
-    # the formatter, which costs it about 0.7 MB of resident memory
-    from . import _fmt17
-
-    grid = traj.grid
-    # one row of ASCII bytes per axis coordinate, padded with 0 bytes
-    coord = np.array([_fmt(v).encode() for v in grid.axis_coordinate()], dtype=bytes)
-    coord = coord.view(np.uint8).reshape(grid.n, -1)
-    width = coord.shape[1] + 1
-    with _create(path, "wb") as fh:
-        header = ",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n"
-        fh.write(header.encode())
+    """The frames of ``traj`` through :class:`_FramesWriter`; the file at
+    ``path`` is complete when this returns."""
+    with _FramesWriter(path, traj.grid) as write:
         for t, frame in zip(traj.times, traj.frames):
-            head = np.frombuffer((_fmt(t) + ",").encode(), np.uint8)
-            flat = frame.reshape(-1)
-            for start in range(0, grid.npoints, FRAME_BLOCK_ROWS):
-                part = flat[start:start + FRAME_BLOCK_ROWS]
-                m = np.empty((part.size, head.size + grid.dimension * width
-                              + 3 * _fmt17.WIDTH), np.uint8)
-                m[:, :head.size] = head
-                col = head.size
-                index = np.unravel_index(np.arange(start, start + part.size), grid.shape)
-                for i in index:
-                    m[:, col:col + width - 1] = coord[i]
-                    m[:, col + width - 1] = ord(",")
-                    col += width
-                values = np.stack([part.real, part.imag, density(part)], axis=1)
-                cells = m[:, col:].reshape(part.size, 3, -1)
-                cells[...] = _fmt17.text(values).reshape(cells.shape)
-                cells[..., -1] = ord(",")
-                cells[:, -1, -1] = ord("\n")
-                fh.write(m.tobytes().translate(None, b"\0"))
+            write(t, frame)
 
 
 # ----------------------------------------------------------- experiments ----
@@ -373,8 +420,8 @@ def _run_evolve(cfg, grid, sim, out_dir):
     rng = np.random.default_rng(cfg["run"]["seed"])
     psi0 = _build_state(cfg["initial_state"], grid, rng)
     V = _build_potential(cfg["potential"], grid)
-    traj = evolve(_build_coefficients(cfg), psi0, grid, sim, V)
-    write_frames_csv(out_dir / "frames.csv", traj)
+    with _FramesWriter(out_dir / "frames.csv", grid) as write:
+        traj = evolve(_build_coefficients(cfg), psi0, grid, sim, V, on_frame=write)
     return ["frames.csv"], {
         "norm_drift": traj.norm_drift,
         "regularized_fraction": float(traj.regularized_fractions.max()),
@@ -460,8 +507,13 @@ def _run_convergence(cfg, grid, sim, out_dir):
     V = _build_potential(cfg["potential"], grid)
     c = _build_coefficients(cfg)
     finals = []
+
+    def keep_last(t, psi):
+        finals[-1] = psi
+
     for level in range(3):
-        finals.append(evolve(c, psi0, grid, sim.refined(2 ** level), V).final())
+        finals.append(None)
+        evolve(c, psi0, grid, sim.refined(2 ** level), V, on_frame=keep_last)
     errors = [l2_norm(finals[i] - finals[i + 1], grid) for i in range(2)]
     rows = [(sim.dt, errors[0], None)]
     order = float(np.log2(errors[0] / errors[1])) if errors[1] > 0 else float("inf")

@@ -162,7 +162,12 @@ class SimulationConfig:
 
 @dataclass
 class Trajectory:
-    """Output frames (t=0 and t=t_final always included) plus diagnostics."""
+    """Output frames (t=0 and t=t_final always included) plus diagnostics.
+
+    ``frames`` is empty when :func:`evolve` passed the frames to its
+    ``on_frame`` destination instead of keeping them; ``times``, ``norms``
+    and ``regularized_fractions`` are always filled, one entry per frame.
+    """
 
     grid: GridSpec
     times: np.ndarray
@@ -171,7 +176,7 @@ class Trajectory:
     regularized_fractions: np.ndarray
 
     def __len__(self):
-        return len(self.frames)
+        return len(self.times)
 
     def final(self) -> np.ndarray:
         return self.frames[-1]
@@ -346,48 +351,53 @@ def _check_initial(psi0: np.ndarray, grid: GridSpec, members: int | None = None)
                              f"got ||psi0|| = {nrm!r}")
 
 
-def _run_steps(stepper, psi0, grid, config, label, batch=False):
-    """Shared driver: step, watch for NaN/norm blow-up, collect output frames.
-    With ``batch``, axis 0 of psi0 indexes members and a list with one
-    trajectory per member is returned."""
+def _run_steps(stepper, psi0, grid, config, label, batch=False, on_frame=None):
+    """Shared driver: step, watch for NaN/norm blow-up, and pass each output
+    frame (t=0 first) to ``on_frame(t, state)`` after its checks; without
+    ``on_frame`` the frames are collected into the trajectories. The state
+    is passed without a copy; the stepper returns a fresh array, so no later
+    step writes into it. With ``batch``, axis 0 of psi0 indexes members and
+    a list with one trajectory per member is returned."""
     n_steps = config.n_steps()
     policy = config.policy
     psi = np.array(psi0, dtype=complex)
-    rows = psi if batch else psi[None]
-    times = [0.0]
-    frames = [[np.array(r)] for r in rows]
-    norms = [[l2_norm(r, grid)] for r in rows]
-    fracs = [[policy.regularized_fraction(density(r))] for r in rows]
-    for step in range(1, n_steps + 1):
-        psi = stepper(psi)
-        rows = psi if batch else psi[None]
-        if not np.all(np.isfinite(psi)):
-            b = next(b for b, r in enumerate(rows) if not np.all(np.isfinite(r)))
-            raise NumericalBlowupError(
-                f"{label}: {_member(batch, b)}non-finite state at step {step} "
-                f"(t={step * config.dt:g}); try a smaller dt")
-        if step % config.output_every == 0 or step == n_steps:
-            nrms = [l2_norm(r, grid) for r in rows]
-            for b, nrm in enumerate(nrms):
-                if abs(nrm - norms[b][0]) > 1e-3:
-                    raise NumericalBlowupError(
-                        f"{label}: {_member(batch, b)}norm drifted by "
-                        f"{abs(nrm - norms[b][0]):.3e} at t={step * config.dt:g}; "
-                        "the run is unresolved")
-            times.append(step * config.dt)
-            for b, r in enumerate(rows):
-                frames[b].append(np.array(r))
-                norms[b].append(nrms[b])
-                fracs[b].append(policy.regularized_fraction(density(r)))
+    frames = [[] for _ in (psi if batch else [psi])]
+    if on_frame is None:
+        def on_frame(t, state):
+            for kept, r in zip(frames, state if batch else [state]):
+                kept.append(np.array(r))
+    times, norms, fracs = [], [], []
+    for step in range(n_steps + 1):
+        if step:
+            psi = stepper(psi)
+            if not np.all(np.isfinite(psi)):
+                rows = psi if batch else [psi]
+                b = next(b for b, r in enumerate(rows) if not np.all(np.isfinite(r)))
+                raise NumericalBlowupError(
+                    f"{label}: {_member(batch, b)}non-finite state at step {step} "
+                    f"(t={step * config.dt:g}); try a smaller dt")
+            if step % config.output_every and step != n_steps:
+                continue
+        rows = psi if batch else [psi]
+        norms.append([l2_norm(r, grid) for r in rows])
+        for b, nrm in enumerate(norms[-1]):
+            if abs(nrm - norms[0][b]) > 1e-3:
+                raise NumericalBlowupError(
+                    f"{label}: {_member(batch, b)}norm drifted by "
+                    f"{abs(nrm - norms[0][b]):.3e} at t={step * config.dt:g}; "
+                    "the run is unresolved")
+        times.append(step * config.dt)
+        fracs.append([policy.regularized_fraction(density(r)) for r in rows])
+        on_frame(step * config.dt, psi)
+    norms, fracs = np.array(norms).T, np.array(fracs).T
     trajs = [Trajectory(grid=grid, times=np.array(times), frames=frames[b],
-                        norms=np.array(norms[b]),
-                        regularized_fractions=np.array(fracs[b]))
+                        norms=norms[b], regularized_fractions=fracs[b])
              for b in range(len(frames))]
     return trajs if batch else trajs[0]
 
 
 def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
-           V: np.ndarray | None = None):
+           V: np.ndarray | None = None, on_frame=None):
     """Integrate the family with RK4 up to t_final.
 
     One member ``c`` with ``psi0`` of ``grid.shape`` gives one
@@ -399,6 +409,14 @@ def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
     Norm is never renormalized during the run; drift is a diagnostic and a
     drift beyond 1e-3 aborts the run as unresolved. Each member's initial
     state and stability bound are checked before any step.
+
+    ``on_frame(t, state)``, if given, receives each output frame as soon as
+    it is computed and has passed the non-finite and norm-drift checks: t=0
+    first, ``state`` of the shape of ``psi0`` (the whole stack in a batch).
+    The state is not copied, and no later step writes into it. The frames
+    are then not kept: the trajectories hold times, norms and regularized
+    fractions with an empty ``frames`` list, so memory does not grow with
+    the number of frames.
     """
     batch = not isinstance(c, NLSECoefficients)
     members = list(c) if batch else [c]
@@ -413,7 +431,7 @@ def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
     coeffs = _Columns(members, grid.dimension) if batch else c
     policy = config.policy
     return _run_steps(lambda p: step_rk4(coeffs, p, grid, config.dt, V, policy),
-                      psi0, grid, config, "evolve", batch)
+                      psi0, grid, config, "evolve", batch, on_frame)
 
 
 def evolve_linear_exact(nu1: float, psi0: np.ndarray, grid: GridSpec,

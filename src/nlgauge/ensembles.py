@@ -98,13 +98,13 @@ def density_matrix(m: MixedState) -> np.ndarray:
 
 
 def frobenius_distance(w1: np.ndarray, w2: np.ndarray, grid: GridSpec) -> float:
-    """dx-weighted Frobenius norm of the kernel difference."""
-    return float(np.linalg.norm(w1 - w2) * grid.dx)
+    """dx^d-weighted Frobenius norm of the kernel difference."""
+    return float(np.linalg.norm(w1 - w2) * grid.dx ** grid.dimension)
 
 
 def trace_distance(w1: np.ndarray, w2: np.ndarray, grid: GridSpec) -> float:
     """(1/2) sum |eigenvalues| of the kernel difference (slower metric)."""
-    eigs = np.linalg.eigvalsh((w1 - w2) * grid.dx)
+    eigs = np.linalg.eigvalsh((w1 - w2) * grid.dx ** grid.dimension)
     return 0.5 * float(np.sum(np.abs(eigs)))
 
 

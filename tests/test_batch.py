@@ -109,6 +109,31 @@ class TestBatchedEvolve:
             assert np.array_equal(trajs[b].regularized_fractions,
                                   one.regularized_fractions)
 
+    def test_on_frame_gets_the_frames_evolve_would_keep(self, grid):
+        members = MEMBERS[1:]
+        psis = np.array([trig_packet(grid, depth=1.0 + 0.1 * b, s1=0.1 * b)
+                         for b in range(len(members))])
+        cfg = SimulationConfig(dt=2e-3, t_final=0.02, output_every=4)
+        for c, psi0 in ((members, psis), (members[1], psis[1])):
+            batch = isinstance(c, list)
+            kept = ng.evolve(c, psi0, grid, cfg)
+            got = []
+            passed = ng.evolve(c, psi0, grid, cfg,
+                               on_frame=lambda t, state: got.append((t, state)))
+            if not batch:
+                kept, passed = [kept], [passed]
+                got = [(t, state[None]) for t, state in got]
+            assert [t for t, _ in got] == kept[0].times.tolist()
+            for b, (k, p) in enumerate(zip(kept, passed)):
+                assert p.frames == [] and len(p) == len(k)
+                assert np.array_equal(p.times, k.times)
+                assert np.array_equal(p.norms, k.norms)
+                assert np.array_equal(p.regularized_fractions, k.regularized_fractions)
+                # the states were passed without a copy, and no later step
+                # wrote into them
+                for (_, state), frame in zip(got, k.frames):
+                    assert np.array_equal(state[b], frame)
+
     def _three(self, grid64):
         # the middle member's |nu1| puts dt=0.02 past both its heuristic
         # bound and the RK4 stability limit on the top modes

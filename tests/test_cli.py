@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlgauge import cli
+from nlgauge import cli, dynamics
 from nlgauge.dynamics import Trajectory
 from nlgauge.functionals import density
 from nlgauge.grid import l2_norm, make_grid
@@ -330,6 +331,112 @@ class TestNumericalFailure:
         assert code == 3
         assert "NUMERICAL_FAILURE" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
+
+
+def evolve_2d_config(n, frames):
+    """A 2D CLI evolve with ``frames`` output frames, one per step."""
+    return base_evolve_config(
+        grid={"dimension": 2, "n": n, "length": 20.0},
+        coefficients={"nu1": -0.5, "nu2": 0.05, "alpha1": 0.05},
+        initial_state={"preset": "gaussian", "width": 2.0},
+        run={"dt": 0.01, "t_final": 0.01 * (frames - 1), "output_every": 1})
+
+
+def fail_at_step(monkeypatch, out_dir, step):
+    """Make call ``step`` of ``step_rk4`` return NaN. The returned list gets
+    the number of lines written to ``out_dir`` by then."""
+    real, calls, lines = dynamics.step_rk4, [], []
+
+    def stepper(c, psi, *args):
+        calls.append(1)
+        if len(calls) < step:
+            return real(c, psi, *args)
+        lines.append(sum(f.read_bytes().count(b"\n") for f in out_dir.glob("*")))
+        return np.full_like(psi, np.nan)
+
+    monkeypatch.setattr(dynamics, "step_rk4", stepper)
+    return lines
+
+
+class EvolveEntered(Exception):
+    pass
+
+
+class TestStreamedFrames:
+    """The CLI writes each frame as the integrator produces it."""
+
+    def test_same_bytes_as_the_collected_trajectory(self, tmp_path):
+        # 72^2 points: two blocks per frame, the last one partial
+        raw = evolve_2d_config(72, frames=4)
+        assert cli.run(write_config(tmp_path, raw), tmp_path / "out") == 0
+        cfg = cli.resolve_config(raw)
+        grid = make_grid(**cfg["grid"])
+        psi0 = cli._build_state(cfg["initial_state"], grid,
+                                np.random.default_rng(cfg["run"]["seed"]))
+        traj = dynamics.evolve(cli._build_coefficients(cfg), psi0, grid,
+                               cli._build_sim_config(cfg, False))
+        assert len(traj.frames) == 4
+        assert cli.FRAME_BLOCK_ROWS < grid.npoints < 2 * cli.FRAME_BLOCK_ROWS
+        cli.write_frames_csv(tmp_path / "collected.csv", traj)
+        assert ((tmp_path / "out" / "frames.csv").read_bytes()
+                == (tmp_path / "collected.csv").read_bytes())
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+            "frames.csv", "manifest.json"]
+
+    def test_peak_memory_does_not_grow_with_frames(self, tmp_path):
+        def peak(frames):
+            path = write_config(tmp_path, evolve_2d_config(64, frames), f"{frames}.json")
+            tracemalloc.start()
+            try:
+                assert cli.run(path, tmp_path / str(frames)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first use: imports and caches
+        frame_bytes = 64 * 64 * 16
+        # streamed, the peaks differ by about 0.1 frame; collected, by 45
+        assert abs(peak(50) - peak(5)) < 2 * frame_bytes
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path,
+                                                        monkeypatch, capsys):
+        out_dir = tmp_path / "new" / "out"
+        lines = fail_at_step(monkeypatch, out_dir, 3)
+        code = cli.run(write_config(tmp_path, evolve_2d_config(32, 10)), out_dir)
+        assert code == 3
+        assert "NUMERICAL_FAILURE" in capsys.readouterr().out
+        assert lines[0] >= 1 + 2 * 32 * 32  # the header and two frames
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_rerun_leaves_earlier_outputs(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, evolve_2d_config(32, 10))
+        out_dir = tmp_path / "out"
+        assert cli.run(cfg_path, out_dir) == 0
+        before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        lines = fail_at_step(monkeypatch, out_dir, 3)
+        assert cli.run(cfg_path, out_dir) == 3
+        assert lines[0] > sum(b.count(b"\n") for b in before.values())
+        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("experiment", ["evolve", "convergence"])
+    def test_evolutions_enter_through_dynamics_evolve(self, tmp_path, monkeypatch,
+                                                      experiment):
+        out_dir = tmp_path / "out"
+
+        def stop(*args, **kwargs):
+            assert not out_dir.exists()
+            raise EvolveEntered
+
+        original = dynamics.evolve
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "nlgauge":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, stop)
+        cfg = base_evolve_config(experiment=experiment)
+        with pytest.raises(EvolveEntered):
+            cli.run(write_config(tmp_path, cfg), out_dir)
+        assert not out_dir.exists()
 
 
 class TestGaugeCheck:

@@ -310,3 +310,21 @@ def test_trace_distance_consistent(grid, pair):
     td = ng.trace_distance(ng.density_matrix(m_single), w_a, grid)
     fd = ng.frobenius_distance(ng.density_matrix(m_single), w_a, grid)
     assert td > 0.0 and fd > 0.0
+
+
+def test_kernel_distances_weight_2d_kernels_by_dx_squared():
+    # kernels of flattened 2D states: the quadrature weight is dx^2, not dx
+    grid = ng.make_grid(2, 16, 24.0)
+    psi = ng.states.gaussian(grid, center=10.0, width=2.0)
+    phi = ng.states.gaussian(grid, center=12.0, width=2.0, momentum=0.2)
+    w_psi = np.outer(psi.ravel(), psi.ravel().conj())
+    w_phi = np.outer(phi.ravel(), phi.ravel().conj())
+    expected = grid.dx ** 2 * np.sqrt(np.sum(np.abs(w_psi - w_phi) ** 2))
+    fd = ng.frobenius_distance(w_psi, w_phi, grid)
+    assert abs(fd - expected) <= 1e-13 * expected
+    # two pure states: D_F = sqrt(2 (1 - |<psi|phi>|^2)), D_tr = sqrt(1 - |<psi|phi>|^2)
+    overlap = abs(np.vdot(psi, phi) * grid.dx ** 2) ** 2
+    assert 0.1 < overlap < 0.9
+    assert abs(fd - np.sqrt(2.0 * (1.0 - overlap))) < 1e-12
+    td = ng.trace_distance(w_psi, w_phi, grid)
+    assert abs(td - np.sqrt(1.0 - overlap)) < 1e-12

@@ -5,12 +5,15 @@ Usage:
     nlgauge run <config.json> --out <dir> [--force-dt]
     nlgauge presets
 
-Exit status: 0 success, 2 config error, 3 numerical failure (NaN/blow-up),
-4 invariant violation (e.g. the same-kernel precondition of mixprobe).
-Every failure prints a single machine-parsable line ``<CATEGORY>: <reason>``
-and leaves the file system as it found it: the output directory is made with
-the first file, and a file written during the evolution is removed, with
-any directory made for it.
+Exit status: 0 success, 2 config error (also a path that cannot be read or
+written), 3 numerical failure (NaN/blow-up), 4 invariant violation (e.g. the
+same-kernel precondition of mixprobe).
+
+``run`` is one pipeline: resolve the config, build its inputs, compute, stage
+every output as ``<name>.part`` (the directory is made with the first file),
+then rename them all into place. A failure discards them, with every
+directory made for them, so it leaves the file system as it found it, and
+prints one machine-parsable line ``<CATEGORY>: <reason>``.
 
 Config handling is table-driven: the rows of each block, preset, potential
 and experiment validate a config, fill its defaults, list the ``presets`` and
@@ -18,18 +21,18 @@ pick the builders. A key that no row names, in a block or at the root, is a
 config error. The manifest echoes the fully resolved config (all
 defaults filled in), so re-running ``nlgauge run manifest.json`` reproduces
 the outputs byte for byte. Floats are printed with 17 significant digits; the
-only randomness is the seeded field generator of the gauge-check experiment.
+only randomness is the run's one generator, seeded by ``run.seed``.
 ``frames.csv`` is written frame by frame as ``evolve`` produces the frames,
 so memory does not grow with their number. It goes out in blocks of
 ``FRAME_BLOCK_ROWS`` rows, each one byte matrix whose numbers are formatted by
-numpy (``_fmt17``), under a temporary name renamed into place when the run
-succeeds. Its bytes are pinned by a test against a naive per-value writer,
-not only by rerun determinism.
+numpy (``_fmt17``). Its bytes are pinned by a test against a naive per-value
+writer, not only by rerun determinism.
 """
 
 import argparse
 import json
 import sys
+from contextlib import AbstractContextManager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -147,13 +150,11 @@ GAUGE = (("gamma", "number", 0.0), ("lambda", "nonzero", 1.0),
          ("theta_const", "number", 0.0))
 
 
-def _potential_file(grid, b):
-    path = Path(b["path"])
-    if not path.exists():
-        raise ConfigError(f"potential file not found: {path}")
+def _potential_file(grid, rng, b):
+    path = b["path"]
     try:
         values = np.loadtxt(path, dtype=float)
-    except ValueError as err:
+    except (OSError, ValueError) as err:  # missing, a directory, or not numbers
         raise ConfigError(f"potential file {path}: {err}") from None
     values = values.reshape(grid.shape) if values.size == grid.npoints else values
     if values.shape != grid.shape:
@@ -198,9 +199,9 @@ POTENTIALS = {
              _potential_file),
     "harmonic": ((("omega", "number", 1.0), ("center", "number", "L/2")),
                  "(omega^2/2) |x - c|^2",
-                 lambda grid, b: states.harmonic_potential(
+                 lambda grid, rng, b: states.harmonic_potential(
                      grid, omega=b["omega"], center=b["center"])),
-    "none": ((), "free evolution", lambda grid, b: None),
+    "none": ((), "free evolution", lambda grid, rng, b: None),
 }
 
 # every initial state but the two-gaussian pair, which only mixprobe and evolve take
@@ -286,40 +287,83 @@ def resolve_config(raw: dict) -> dict:
 
 # ----------------------------------------------------------------- build ----
 
-def _build_coefficients(cfg: dict) -> NLSECoefficients:
-    return NLSECoefficients(**cfg["coefficients"])
+class _Inputs:
+    """The inputs of one resolved config: ``build(name)`` makes the object of
+    block ``name`` through the table that validated it. Initial states draw
+    from the run's one generator ``rng``, seeded by ``run.seed``, in the order
+    they are asked for; ``grid`` and ``sim`` (the run block) are built at once."""
+
+    def __init__(self, cfg: dict, force_dt: bool = False):
+        run = cfg["run"]
+        self.cfg, self.grid = cfg, make_grid(**cfg["grid"])
+        self.sim = SimulationConfig(
+            dt=run["dt"], t_final=run["t_final"], output_every=run["output_every"],
+            policy=RegularizationPolicy(rho_floor_rel=run["rho_floor_rel"]),
+            force_dt=force_dt)
+        self.rng = np.random.default_rng(run["seed"])
+
+    def __call__(self, name: str):
+        b = self.cfg[name]
+        if name == "coefficients":
+            return NLSECoefficients(**b)
+        if name == "gauge":
+            return GaugeTransform(b["gamma"], b["lambda"], b["theta_const"])
+        table = BLOCKS[name][0]  # a preset table: the row the block names
+        return table[b["preset"] if table is STATE_PRESETS else b["type"]][2](
+            self.grid, self.rng, b)
 
 
-def _build_sim_config(cfg: dict, force_dt: bool) -> SimulationConfig:
-    run = cfg["run"]
-    return SimulationConfig(
-        dt=run["dt"], t_final=run["t_final"], output_every=run["output_every"],
-        policy=RegularizationPolicy(rho_floor_rel=run["rho_floor_rel"]),
-        force_dt=force_dt)
+# ---------------------------------------------------------------- output ----
+
+class _Stage(AbstractContextManager):
+    """The output files of one run in ``out_dir``, each written as
+    ``<name>.part`` by ``open(name)``, which makes the directory and every
+    missing parent with the first file. ``commit()`` renames them into place
+    in the order opened; ``discard()`` removes them and every directory made
+    for them. The stage commits when its block ends and discards when the
+    block, or the commit, raises."""
+
+    def __init__(self, out_dir):
+        self.dir, self.files, self.made = Path(out_dir), {}, []
+
+    def open(self, name: str, mode: str = "w"):
+        for d in reversed([d for d in (self.dir, *self.dir.parents) if not d.exists()]):
+            d.mkdir()
+            self.made.append(d)
+        fh = open(self.dir / f"{name}.part", mode, newline=None if "b" in mode else "")
+        self.files[name] = fh
+        return fh
+
+    def commit(self):
+        for fh in self.files.values():
+            fh.close()
+        for name in self.files:
+            (self.dir / f"{name}.part").replace(self.dir / name)
+
+    def discard(self):
+        for name, fh in self.files.items():
+            with suppress(OSError):  # a file that cannot be flushed goes all the same
+                fh.close()
+            # missing if a failed commit renamed it already
+            (self.dir / f"{name}.part").unlink(missing_ok=True)
+        for d in reversed(self.made):
+            d.rmdir()
+
+    def __exit__(self, error, *_):
+        if error is None:
+            try:
+                return self.commit()
+            except BaseException:  # a file that could not be flushed is not renamed
+                self.discard()
+                raise
+        self.discard()
 
 
-def _build_state(block: dict, grid: GridSpec, rng: np.random.Generator):
-    return STATE_PRESETS[block["preset"]][2](grid, rng, block)
-
-
-def _build_potential(block: dict, grid: GridSpec):
-    return POTENTIALS[block["type"]][2](grid, block)
-
-
-# ------------------------------------------------------------------- CSV ----
-
-def _create(path: Path, mode: str = "w"):
-    """Open ``path`` for writing, making its directory first: a run makes its
-    output directory with its first file, so a failed run leaves none."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, mode, newline=None if "b" in mode else "")
-
-
-def write_series_csv(path: Path, rows, header=("t", "value")) -> None:
-    with _create(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("nan" if v is None else _fmt(v) for v in row) + "\n")
+def write_series_csv(fh, header, rows) -> None:
+    """``header``, then one line per row of numbers (None is written nan)."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join("nan" if v is None else _fmt(v) for v in row) + "\n")
 
 
 # Rows of frames.csv in one byte matrix. A block rather than a whole frame
@@ -340,25 +384,12 @@ class _FramesWriter:
     of each cell takes the comma or the newline. Deleting the 0 bytes gives
     the text of a per-value ``"%.17g"`` writer.
 
-    A context manager: the file is opened at the first frame under the
-    temporary name ``<name>.part`` and renamed to ``path`` when the block
-    ends without an error. After an error it is removed, with every
-    directory it made, so a failed run leaves the file system as it was.
+    The file ``name`` is opened in ``stage`` at the first frame, so an
+    evolution that fails before its first frame makes no directory.
     """
 
-    def __init__(self, path, grid: GridSpec):
-        self.path, self.grid, self.fh = Path(path), grid, None
-
-    def __enter__(self):
-        return self
-
-    def _open(self):
-        grid, path = self.grid, self.path
-        self.made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-        self.part = path.with_name(path.name + ".part")
-        self.fh = _create(self.part, "wb")
-        header = ",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n"
-        self.fh.write(header.encode())
+    def __init__(self, stage: _Stage, name: str, grid: GridSpec):
+        self.stage, self.name, self.grid, self.fh = stage, name, grid, None
         # one row of ASCII bytes per axis coordinate, padded with 0 bytes
         coord = np.array([_fmt(v).encode() for v in grid.axis_coordinate()], dtype=bytes)
         self.coord = coord.view(np.uint8).reshape(grid.n, -1)
@@ -368,9 +399,11 @@ class _FramesWriter:
         # compile the formatter, which costs it about 0.7 MB of resident memory
         from . import _fmt17
 
-        if self.fh is None:
-            self._open()
         grid, coord = self.grid, self.coord
+        if self.fh is None:
+            self.fh = self.stage.open(self.name, "wb")
+            header = ",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n"
+            self.fh.write(header.encode())
         width = coord.shape[1] + 1
         head = np.frombuffer((_fmt(t) + ",").encode(), np.uint8)
         flat = frame.reshape(-1)
@@ -392,75 +425,54 @@ class _FramesWriter:
             cells[:, -1, -1] = ord("\n")
             self.fh.write(m.tobytes().translate(None, b"\0"))
 
-    def __exit__(self, error, *_):
-        if error is None and self.fh is None:
-            self._open()  # no frames: the header alone
-        if self.fh is None:
-            return
-        self.fh.close()
-        if error is None:
-            self.part.replace(self.path)
-        else:
-            self.part.unlink()
-            for d in self.made:
-                d.rmdir()
-
 
 def write_frames_csv(path: Path, traj: Trajectory) -> None:
-    """The frames of ``traj`` through :class:`_FramesWriter`; the file at
-    ``path`` is complete when this returns."""
-    with _FramesWriter(path, traj.grid) as write:
+    """The frames of ``traj`` through :class:`_FramesWriter`, staged on their
+    own; the file at ``path`` is complete when this returns."""
+    if not traj.frames:
+        raise ValueError("the trajectory holds no frames (were they streamed?)")
+    path = Path(path)
+    with _Stage(path.parent) as stage:
+        write = _FramesWriter(stage, path.name, traj.grid)
         for t, frame in zip(traj.times, traj.frames):
             write(t, frame)
 
 
 # ----------------------------------------------------------- experiments ----
+#
+# A runner gets the resolved config, its inputs and the run's stage and
+# returns (series, diagnostics); series is (header, rows) or None.
 
-def _run_evolve(cfg, grid, sim, out_dir):
-    rng = np.random.default_rng(cfg["run"]["seed"])
-    psi0 = _build_state(cfg["initial_state"], grid, rng)
-    V = _build_potential(cfg["potential"], grid)
-    with _FramesWriter(out_dir / "frames.csv", grid) as write:
-        traj = evolve(_build_coefficients(cfg), psi0, grid, sim, V, on_frame=write)
-    return ["frames.csv"], {
+def _run_evolve(cfg, build, stage):
+    traj = evolve(build("coefficients"), build("initial_state"), build.grid, build.sim,
+                  build("potential"), on_frame=_FramesWriter(stage, "frames.csv", build.grid))
+    return None, {
         "norm_drift": traj.norm_drift,
         "regularized_fraction": float(traj.regularized_fractions.max()),
         "frames": len(traj),
     }
 
 
-def _run_gauge_check(cfg, grid, sim, out_dir):
-    rng = np.random.default_rng(cfg["run"]["seed"])
-    fixed = cfg.get("gauge")
-    rows = []
-    worst = 0.0
+def _run_gauge_check(cfg, build, stage):
+    rng, rows = build.rng, []
     for trial in range(cfg["trials"]):
-        psi = states.random_nodeless_field(grid, rng)
-        if fixed is not None:
-            g = GaugeTransform(fixed["gamma"], fixed["lambda"], fixed["theta_const"])
-        else:
-            g = GaugeTransform(gamma=rng.uniform(-5.0, 5.0),
-                               lam=rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1),
-                               theta=rng.uniform(-0.5, 0.5))
+        psi = states.random_nodeless_field(build.grid, rng)
+        g = build("gauge") if "gauge" in cfg else GaugeTransform(
+            gamma=rng.uniform(-5.0, 5.0),
+            lam=rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1),
+            theta=rng.uniform(-0.5, 0.5))
         rho = density(psi)
-        dev = float(np.max(np.abs(density(apply_gauge(g, psi, sim.policy)) - rho)))
-        rel = dev / float(rho.max())
-        rows.append((float(trial), rel))
-        worst = max(worst, rel)
-    write_series_csv(out_dir / "series.csv", rows, header=("t", "value"))
-    return ["series.csv"], {"max_density_deviation_rel": worst,
-                            "trials": cfg["trials"]}
+        dev = float(np.max(np.abs(density(apply_gauge(g, psi, build.sim.policy)) - rho)))
+        rows.append((float(trial), dev / float(rho.max())))
+    return (("t", "value"), rows), {"max_density_deviation_rel": max(v for _, v in rows),
+                                    "trials": cfg["trials"]}
 
 
-def _run_equivalence(cfg, grid, sim, out_dir):
-    rng = np.random.default_rng(cfg["run"]["seed"])
-    psi0 = _build_state(cfg["initial_state"], grid, rng)
-    V = _build_potential(cfg["potential"], grid)
-    g = GaugeTransform(cfg["gauge"]["gamma"], cfg["gauge"]["lambda"], 0.0)
-    c = _build_coefficients(cfg)
-    report = commuting_residual(g, c, psi0, grid, sim, V)
-    write_series_csv(out_dir / "series.csv", report.residual_series)
-    return ["series.csv"], {
+def _run_equivalence(cfg, build, stage):
+    g, c = build("gauge"), build("coefficients")
+    report = commuting_residual(g, c, build("initial_state"), build.grid, build.sim,
+                                build("potential"))
+    return (("t", "value"), report.residual_series), {
         "residual_sup": report.residual_sup,
         "residual_sup_fine": report.residual_sup_fine,
         "refinement_order": report.refinement_order,
@@ -470,43 +482,35 @@ def _run_equivalence(cfg, grid, sim, out_dir):
     }
 
 
-def _run_mixprobe(cfg, grid, sim, out_dir):
+def _run_mixprobe(cfg, build, stage):
+    # the pair itself, not the preset's sum: a degenerate pair is an invariant
+    # violation here, not a config error
     blk = cfg["initial_state"]
     try:
-        psi_a, psi_b = states.two_gaussian_pair(grid, separation=blk["separation"],
+        psi_a, psi_b = states.two_gaussian_pair(build.grid, separation=blk["separation"],
                                                 width=blk["width"])
     except ValueError as err:
         raise InvariantViolation(str(err)) from None
-    dec_a, dec_b = equivalent_decompositions(psi_a, psi_b, cfg["angle"], grid)
-    series = mixed_divergence(_build_coefficients(cfg), dec_a, dec_b, sim)
-    write_series_csv(out_dir / "series.csv", series)
-    values = [v for _, v in series]
-    return ["series.csv"], {"divergence_max": max(values),
-                            "divergence_final": values[-1]}
+    dec_a, dec_b = equivalent_decompositions(psi_a, psi_b, cfg["angle"], build.grid)
+    series = mixed_divergence(build("coefficients"), dec_a, dec_b, build.sim)
+    return (("t", "value"), series), {"divergence_max": max(v for _, v in series),
+                                      "divergence_final": series[-1][1]}
 
 
-def _run_separability(cfg, grid, sim, out_dir):
-    rng = np.random.default_rng(cfg["run"]["seed"])
-    psi1 = _build_state(cfg["initial_state"], grid, rng)
-    psi2 = _build_state(cfg["initial_state_y"], grid, rng)
-    v1 = _build_potential(cfg["potential"], grid)
-    v2 = _build_potential(cfg["potential_y"], grid)
+def _run_separability(cfg, build, stage):
     series, traj2d, _, _ = separability_residual(
-        _build_coefficients(cfg), psi1, psi2, grid, sim, v1, v2)
-    write_series_csv(out_dir / "series.csv", series)
-    return ["series.csv"], {
+        build("coefficients"), build("initial_state"), build("initial_state_y"),
+        build.grid, build.sim, build("potential"), build("potential_y"))
+    return (("t", "value"), series), {
         "residual_sup": max(v for _, v in series),
         "norm_drift_2d": traj2d.norm_drift,
         "regularized_fraction": float(traj2d.regularized_fractions.max()),
     }
 
 
-def _run_convergence(cfg, grid, sim, out_dir):
-    rng = np.random.default_rng(cfg["run"]["seed"])
-    psi0 = _build_state(cfg["initial_state"], grid, rng)
-    V = _build_potential(cfg["potential"], grid)
-    c = _build_coefficients(cfg)
-    finals = []
+def _run_convergence(cfg, build, stage):
+    c, psi0, V = build("coefficients"), build("initial_state"), build("potential")
+    grid, sim, finals = build.grid, build.sim, []
 
     def keep_last(t, psi):
         finals[-1] = psi
@@ -515,12 +519,10 @@ def _run_convergence(cfg, grid, sim, out_dir):
         finals.append(None)
         evolve(c, psi0, grid, sim.refined(2 ** level), V, on_frame=keep_last)
     errors = [l2_norm(finals[i] - finals[i + 1], grid) for i in range(2)]
-    rows = [(sim.dt, errors[0], None)]
     order = float(np.log2(errors[0] / errors[1])) if errors[1] > 0 else float("inf")
-    rows.append((sim.dt / 2, errors[1], order))
-    write_series_csv(out_dir / "series.csv", rows,
-                     header=("dt", "error", "observed_order"))
-    return ["series.csv"], {"observed_order": order, "errors": errors}
+    rows = [(sim.dt, errors[0], None), (sim.dt / 2, errors[1], order)]
+    return (("dt", "error", "observed_order"), rows), {"observed_order": order,
+                                                       "errors": errors}
 
 
 EVOLVES = ("coefficients", "initial_state", "potential")
@@ -541,49 +543,48 @@ EXPERIMENTS = {
 
 # ------------------------------------------------------------------ entry ---
 
+# A failure's class -> (its line's first word, exit status); the first match
+# wins. Config errors and refused preconditions (stability bound, ...) are
+# ValueErrors; an OSError is a path that cannot be read or written.
+FAILURES = {
+    InvariantViolation: ("INVARIANT_VIOLATION", 4),
+    NumericalBlowupError: ("NUMERICAL_FAILURE", 3),
+    ValueError: ("CONFIG_ERROR", 2),
+    OSError: ("CONFIG_ERROR", 2),
+}
+
+
 def run(config_path, out_dir, force_dt: bool = False) -> int:
-    """Execute one experiment config; returns the process exit status."""
+    """Execute one experiment config through the pipeline of the module doc;
+    returns the process exit status."""
     try:
-        raw = json.loads(Path(config_path).read_text())
-    except FileNotFoundError:
-        print(f"CONFIG_ERROR: config file not found: {config_path}")
-        return 2
-    except ValueError as err:
-        # JSONDecodeError, and integer literals beyond Python's digit limit
-        print(f"CONFIG_ERROR: invalid JSON: {err}")
-        return 2
-    try:
-        cfg = resolve_config(raw)
-        grid = make_grid(**cfg["grid"])
-        sim = _build_sim_config(cfg, force_dt)
-        files, diagnostics = EXPERIMENTS[cfg["experiment"]][0](cfg, grid, sim,
-                                                               Path(out_dir))
-    except ConfigError as err:
-        print(f"CONFIG_ERROR: {err}")
-        return 2
-    except InvariantViolation as err:
-        print(f"INVARIANT_VIOLATION: {err}")
-        return 4
-    except NumericalBlowupError as err:
-        print(f"NUMERICAL_FAILURE: {err}")
-        return 3
-    except ValueError as err:
-        # stability bound, normalization, and similar precondition failures
-        print(f"CONFIG_ERROR: {err}")
-        return 2
-    manifest = {
-        "tool": "nlgauge",
-        "version": __version__,
-        "experiment": cfg["experiment"],
-        "config": cfg,
-        "grid": {"dimension": grid.dimension, "n": grid.n,
-                 "length": grid.length, "dx": grid.dx},
-        "outputs": files,
-        "diagnostics": diagnostics,
-    }
-    with _create(Path(out_dir) / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
+        with _Stage(out_dir) as stage:
+            try:
+                raw = json.loads(Path(config_path).read_text())
+            except ValueError as err:
+                # JSONDecodeError, and integer literals beyond Python's digit limit
+                raise ConfigError(f"invalid JSON: {err}") from None
+            cfg = resolve_config(raw)
+            build = _Inputs(cfg, force_dt)
+            series, diagnostics = EXPERIMENTS[cfg["experiment"]][0](cfg, build, stage)
+            if series is not None:
+                write_series_csv(stage.open("series.csv"), *series)
+            manifest = {
+                "tool": "nlgauge",
+                "version": __version__,
+                "experiment": cfg["experiment"],
+                "config": cfg,
+                "grid": {**cfg["grid"], "dx": build.grid.dx},
+                "outputs": list(stage.files),
+                "diagnostics": diagnostics,
+            }
+            fh = stage.open("manifest.json")
+            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=True)
+            fh.write("\n")
+    except tuple(FAILURES) as err:
+        category, status = next(FAILURES[cls] for cls in FAILURES if isinstance(err, cls))
+        print(f"{category}: {err}")
+        return status
     print(f"OK: {cfg['experiment']} -> {out_dir}")
     return 0
 

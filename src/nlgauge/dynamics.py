@@ -435,9 +435,9 @@ def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
 
 
 def evolve_linear_exact(nu1: float, psi0: np.ndarray, grid: GridSpec,
-                        config: SimulationConfig, V: np.ndarray | None = None,
-                        mu0: float = 1.0) -> Trajectory:
-    """Strang split-step for i d/dt psi = (nu1 lap + mu0 V) psi.
+                        config: SimulationConfig, V: np.ndarray | None = None
+                        ) -> Trajectory:
+    """Strang split-step for i d/dt psi = (nu1 lap + V) psi.
 
     The kinetic factor is the exact Fourier phase, so with V == 0 the
     propagator is exact to rounding for any dt; with V != 0 it is the
@@ -451,11 +451,11 @@ def evolve_linear_exact(nu1: float, psi0: np.ndarray, grid: GridSpec,
         p *= kinetic
         return ifft_stack(p, grid)
 
-    if V is None or mu0 == 0.0:
+    if V is None:
         def stepper(p):
             return free(p.copy())
     else:
-        half_v = np.exp(-0.5j * mu0 * V * config.dt)
+        half_v = np.exp(-0.5j * V * config.dt)
 
         def stepper(p):
             return half_v * free(half_v * p)

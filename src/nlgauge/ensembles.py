@@ -149,16 +149,16 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
     if not d0 <= 1e-10:
         raise InvariantViolation(
             f"decompositions are not equivalent at t=0: D(0) = {d0:.3e}")
-    components = dec_a.states + dec_b.states
-    trajs = evolve([c] * len(components), np.array(components), grid, config, V)
-    trajs_a, trajs_b = trajs[:len(dec_a.states)], trajs[len(dec_a.states):]
-    times = trajs_a[0].times
-    series = []
-    for i, t in enumerate(times):
+    n_a, series = len(dec_a.states), []
+
+    def on_frame(t, psi):  # D(t) as each frame is made; no frame is kept
         # not MixedStates: frames may drift in norm beyond their 1e-10 check
-        d = _factor_distance(dec_a.weights, [tr.frames[i] for tr in trajs_a],
-                             dec_b.weights, [tr.frames[i] for tr in trajs_b], grid)
-        series.append((float(t), d))
+        series.append((float(t), _factor_distance(dec_a.weights, psi[:n_a],
+                                                  dec_b.weights, psi[n_a:], grid)))
+
+    components = dec_a.states + dec_b.states
+    evolve([c] * len(components), np.array(components), grid, config, V,
+           on_frame=on_frame)
     return series
 
 

@@ -163,13 +163,6 @@ class EquivalenceReport:
         return self.regularized_fraction > 0.0
 
 
-def _gauge_distance_series(g, traj_a, traj_b, grid):
-    series = []
-    for t, fa, fb in zip(traj_a.times, traj_a.frames, traj_b.frames):
-        series.append((float(t), l2_norm(apply_gauge(g, fa) - fb, grid)))
-    return series
-
-
 def commuting_residual(g: GaugeTransform, c: NLSECoefficients,
                        psi0: np.ndarray, grid: GridSpec,
                        config: SimulationConfig,
@@ -193,8 +186,13 @@ def commuting_residual(g: GaugeTransform, c: NLSECoefficients,
     psi0_p = apply_gauge(g, psi0, config.policy)
 
     def residuals(cfg):
-        traj_a, traj_b = evolve([c, cp], np.stack([psi0, psi0_p]), grid, cfg, V)
-        series = _gauge_distance_series(g, traj_a, traj_b, grid)
+        series = []
+
+        def on_frame(t, pair):  # each frame's residual as it is made; none is kept
+            series.append((float(t), l2_norm(apply_gauge(g, pair[0]) - pair[1], grid)))
+
+        traj_a, traj_b = evolve([c, cp], np.stack([psi0, psi0_p]), grid, cfg, V,
+                                on_frame=on_frame)
         frac = float(max(traj_a.regularized_fractions.max(),
                          traj_b.regularized_fractions.max()))
         return series, frac

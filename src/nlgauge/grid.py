@@ -51,8 +51,8 @@ class GridSpec:
     def npoints(self) -> int:
         return self.n ** self.dimension
 
-    def axis_coordinate(self, axis: int = 0) -> np.ndarray:
-        """Coordinates x_i = i*dx along one axis (periodic: x_n == x_0)."""
+    def axis_coordinate(self) -> np.ndarray:
+        """Coordinates x_i = i*dx, the same along every axis (periodic: x_n == x_0)."""
         return np.arange(self.n) * self.dx
 
     def coordinates(self):

@@ -108,13 +108,12 @@ def free_gaussian_exact(grid: GridSpec, t: float, center: float, width: float,
 
 def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
                           max_mode: int = 4, log_amp: float = 0.4,
-                          phase_amp: float = 0.4, zero_phase_at_peak: bool = True
-                          ) -> np.ndarray:
+                          phase_amp: float = 0.4) -> np.ndarray:
     """Smooth strictly-positive-modulus random state exp(u + i s).
 
     u and s are real band-limited fields (modes 1..max_mode per axis) with the
-    given amplitudes; the modulus is rescaled so max|psi| = 1 and, by default,
-    the phase is shifted to vanish at the modulus peak. Both choices keep the
+    given amplitudes; the modulus is rescaled so max|psi| = 1 and the phase is
+    shifted to vanish at the modulus peak. Both choices keep the
     unwrapped phase of gauge images branch-stable, which the group-law and
     density-invariance experiments rely on.
     """
@@ -139,6 +138,5 @@ def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
     u = log_amp * band_limited()
     s = phase_amp * band_limited()
     u -= u.max()  # max modulus = 1
-    if zero_phase_at_peak:
-        s -= s.ravel()[int(np.argmax(u.ravel()))]
+    s -= s.ravel()[int(np.argmax(u.ravel()))]
     return np.exp(u + 1j * s)

@@ -3,12 +3,13 @@ step_rk4 and evolve, certified row by row against single-member calls, and
 the consumers that must enter it through one evolve call per dt."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nlgauge as ng
-from nlgauge import NLSECoefficients, SimulationConfig, dynamics
+from nlgauge import NLSECoefficients, SimulationConfig, dynamics, ensembles
 from nlgauge.dynamics import NumericalBlowupError
 
 from conftest import trig_packet
@@ -212,3 +213,62 @@ class TestOneEvolvePerDt:
         ng.separability_residual(FULL, trig_packet(grid), trig_packet(grid, s1=-0.2),
                                  grid, cfg, ng.states.harmonic_potential(grid, 0.4))
         assert evolve_calls == [1, 2]
+
+
+def residual_series(frames, grid, collect=False):
+    """``commuting_residual`` over ``frames`` output frames, or with
+    ``collect`` the same series from frames that evolve kept."""
+    g, c = ng.GaugeTransform(0.5, 1.3), NLSECoefficients(nu1=-0.5, alpha1=0.05)
+    cfg = SimulationConfig(dt=2e-4, t_final=2e-4 * (frames - 1))
+    psi = trig_packet(grid)
+    if not collect:
+        return ng.commuting_residual(g, c, psi, grid, cfg, refine=False).residual_series
+    cp, psi_p = ng.push_forward_family(g, c), ng.apply_gauge(g, psi)
+    traj_a, traj_b = ng.evolve([c, cp], np.stack([psi, psi_p]), grid, cfg)
+    return [(float(t), ng.l2_norm(ng.apply_gauge(g, fa) - fb, grid))
+            for t, fa, fb in zip(traj_a.times, traj_a.frames, traj_b.frames)]
+
+
+def divergence_series(frames, grid, collect=False):
+    """``mixed_divergence`` over ``frames`` output frames, or with ``collect``
+    the same series from frames that evolve kept."""
+    c = NLSECoefficients(nu1=-0.5, alpha1=1.0)
+    cfg = SimulationConfig(dt=2e-4, t_final=2e-4 * (frames - 1))
+    dec_a, dec_b = ng.equivalent_decompositions(
+        *ng.states.two_gaussian_pair(grid), np.pi / 4, grid)
+    if not collect:
+        return ng.mixed_divergence(c, dec_a, dec_b, cfg)
+    trajs = ng.evolve([c] * 4, np.array(dec_a.states + dec_b.states), grid, cfg)
+    return [(float(t), ensembles._factor_distance(
+                dec_a.weights, [tr.frames[i] for tr in trajs[:2]],
+                dec_b.weights, [tr.frames[i] for tr in trajs[2:]], grid))
+            for i, t in enumerate(trajs[0].times)]
+
+
+class TestConsumersTakeFramesAsMade:
+    """The library's frame consumers compute each frame's value in
+    ``on_frame`` and keep no frame."""
+
+    @pytest.mark.parametrize("series", [residual_series, divergence_series])
+    def test_series_equal_those_of_collected_frames(self, series):
+        grid = ng.make_grid(1, 128, 40.0)
+        assert series(7, grid) == series(7, grid, collect=True)
+
+    @pytest.mark.parametrize("series,members", [(residual_series, 2),
+                                                (divergence_series, 4)])
+    def test_peak_memory_does_not_grow_with_frames(self, series, members):
+        grid = ng.make_grid(1, 1024, 40.0)
+
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                assert len(series(frames, grid)) == frames
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)  # first use: transform caches
+        frame_bytes = members * grid.npoints * 16
+        # streamed, the peaks differ by the series and the per-frame norms;
+        # collected, by 45 frames
+        assert abs(peak(50) - peak(5)) < 2 * frame_bytes

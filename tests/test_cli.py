@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -12,6 +13,19 @@ from nlgauge import cli, dynamics
 from nlgauge.dynamics import Trajectory
 from nlgauge.functionals import density
 from nlgauge.grid import l2_norm, make_grid
+
+
+@pytest.fixture(autouse=True)
+def no_part_file_left(tmp_path):
+    """No run, whether it succeeds or fails, leaves a staged ``*.part`` file."""
+    yield
+    assert not list(tmp_path.rglob("*.part"))
+
+
+def tree(root):
+    """Every path below ``root`` with the bytes of each file (None: a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -49,7 +63,7 @@ class TestPresets:
         grid = make_grid(1, 64, 20.0)
         for name in cli.STATE_PRESETS:
             cfg = cli.resolve_config(base_evolve_config(initial_state={"preset": name}))
-            psi = cli._build_state(cfg["initial_state"], grid, np.random.default_rng(0))
+            psi = cli._Inputs(cfg)("initial_state")
             assert psi.shape == grid.shape and np.all(np.isfinite(psi)), name
             assert abs(l2_norm(psi, grid) - 1.0) < 1e-12, name
         np.savetxt(tmp_path / "v.txt", np.ones(64))
@@ -58,7 +72,7 @@ class TestPresets:
             block = {"type": name, **({"path": str(tmp_path / "v.txt")}
                                       if name == "file" else {})}
             cfg = cli.resolve_config(base_evolve_config(potential=block))
-            v = cli._build_potential(cfg["potential"], grid)
+            v = cli._Inputs(cfg)("potential")
             assert v is None if name == "none" else v.shape == grid.shape, name
 
 
@@ -283,6 +297,24 @@ class TestConfigErrors:
         assert len(lines) == 1 and lines[0].startswith(f"CONFIG_ERROR: unknown key '{key}'")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("bad", ["config", "potential", "out"])
+    def test_unusable_path_is_one_config_error_line(self, tmp_path, capsys, bad):
+        # the config path or a potential path is a directory, or --out lies
+        # below a regular file
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        potential = {"type": "file", "path": str(tmp_path / "dir")}
+        cfg = write_config(tmp_path, base_evolve_config(
+            **({"potential": potential} if bad == "potential" else {})))
+        config = tmp_path / "dir" if bad == "config" else cfg
+        out_dir = tmp_path / "file" / "out" if bad == "out" else tmp_path / "out"
+        before = tree(tmp_path)
+        code = cli.run(config, out_dir)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: ")
+        assert tree(tmp_path) == before
+
     def test_manifest_config_holds_only_known_keys(self, tmp_path):
         # an emitted manifest, whose config holds both initial states and
         # every default, resolves to its own config
@@ -358,6 +390,32 @@ def fail_at_step(monkeypatch, out_dir, step):
     return lines
 
 
+def fail_in_manifest(monkeypatch):
+    """Make the write of manifest.json fail as a full disk would."""
+    def dump(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump)
+
+
+def fail_on_close(monkeypatch):
+    """Make the first close of every staged file fail, as a full disk would at
+    its last flush; the file is closed all the same."""
+    def staged_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        close = fh.close
+
+        def failing_close():
+            if not fh.closed:
+                close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.close = failing_close
+        return fh
+
+    monkeypatch.setattr(cli, "open", staged_open, raising=False)
+
+
 class EvolveEntered(Exception):
     pass
 
@@ -369,12 +427,10 @@ class TestStreamedFrames:
         # 72^2 points: two blocks per frame, the last one partial
         raw = evolve_2d_config(72, frames=4)
         assert cli.run(write_config(tmp_path, raw), tmp_path / "out") == 0
-        cfg = cli.resolve_config(raw)
-        grid = make_grid(**cfg["grid"])
-        psi0 = cli._build_state(cfg["initial_state"], grid,
-                                np.random.default_rng(cfg["run"]["seed"]))
-        traj = dynamics.evolve(cli._build_coefficients(cfg), psi0, grid,
-                               cli._build_sim_config(cfg, False))
+        build = cli._Inputs(cli.resolve_config(raw))
+        grid = build.grid
+        traj = dynamics.evolve(build("coefficients"), build("initial_state"), grid,
+                               build.sim)
         assert len(traj.frames) == 4
         assert cli.FRAME_BLOCK_ROWS < grid.npoints < 2 * cli.FRAME_BLOCK_ROWS
         cli.write_frames_csv(tmp_path / "collected.csv", traj)
@@ -412,11 +468,37 @@ class TestStreamedFrames:
         cfg_path = write_config(tmp_path, evolve_2d_config(32, 10))
         out_dir = tmp_path / "out"
         assert cli.run(cfg_path, out_dir) == 0
-        before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        # a series experiment, and a rerun of it whose outputs would differ
+        series_dir = tmp_path / "series"
+        series = base_evolve_config(experiment="convergence")
+        assert cli.run(write_config(tmp_path, series, "s.json"), series_dir) == 0
+        series["run"]["dt"] = 2e-3
+        rerun = write_config(tmp_path, series, "rerun.json")
+        before = tree(tmp_path)
+        earlier_lines = sum(f.read_bytes().count(b"\n") for f in out_dir.iterdir())
         lines = fail_at_step(monkeypatch, out_dir, 3)
         assert cli.run(cfg_path, out_dir) == 3
-        assert lines[0] > sum(b.count(b"\n") for b in before.values())
-        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+        assert lines[0] > earlier_lines
+        monkeypatch.undo()
+        fail_in_manifest(monkeypatch)
+        assert cli.run(rerun, series_dir) == 2
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("experiment", ["evolve", "equivalence"])
+    @pytest.mark.parametrize("fail", [fail_in_manifest, fail_on_close],
+                             ids=["manifest", "close"])
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, capsys,
+                                         experiment, fail):
+        cfg = base_evolve_config(experiment=experiment)
+        if experiment == "equivalence":
+            cfg.update(gauge={"gamma": 0.5, "lambda": 1.3},
+                       initial_state={"preset": "random-nodeless"})
+        cfg_path = write_config(tmp_path, cfg)
+        before = tree(tmp_path)
+        fail(monkeypatch)
+        assert cli.run(cfg_path, tmp_path / "new" / "out") == 2
+        assert capsys.readouterr().out.startswith("CONFIG_ERROR: ")
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("experiment", ["evolve", "convergence"])
     def test_evolutions_enter_through_dynamics_evolve(self, tmp_path, monkeypatch,

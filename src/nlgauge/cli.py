@@ -21,7 +21,8 @@ pick the builders. A key that no row names, in a block or at the root, is a
 config error. The manifest echoes the fully resolved config (all
 defaults filled in), so re-running ``nlgauge run manifest.json`` reproduces
 the outputs byte for byte. Floats are printed with 17 significant digits; the
-only randomness is the run's one generator, seeded by ``run.seed``.
+only randomness is the run's one generator, seeded by ``run.seed`` and made at
+its first draw: a run that draws nothing never imports ``numpy.random``.
 ``frames.csv`` is written frame by frame as ``evolve`` produces the frames,
 so memory does not grow with their number. It goes out in blocks of
 ``FRAME_BLOCK_ROWS`` rows, each one byte matrix whose numbers are formatted by
@@ -33,6 +34,7 @@ import argparse
 import json
 import sys
 from contextlib import AbstractContextManager, suppress
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +152,8 @@ GAUGE = (("gamma", "number", 0.0), ("lambda", "nonzero", 1.0),
          ("theta_const", "number", 0.0))
 
 
-def _potential_file(grid, rng, b):
-    path = b["path"]
+def _potential_file(build, b):
+    grid, path = build.grid, b["path"]
     try:
         values = np.loadtxt(path, dtype=float)
     except (OSError, ValueError) as err:  # missing, a directory, or not numbers
@@ -165,32 +167,35 @@ def _potential_file(grid, rng, b):
     return values
 
 
-# name -> (fields, one-line doc, builder). Builders look ``states`` functions
-# up when they run, so a wrapper set on the module attribute sees every call.
+# name -> (fields, one-line doc, builder). A builder takes the run's inputs
+# and the resolved block, and reads ``build.grid`` and ``build.rng`` itself, so
+# only a preset that draws makes the generator. Builders look ``states``
+# functions up when they run, so a wrapper set on the module attribute sees
+# every call.
 STATE_PRESETS = {
     "gaussian": (
         (("center", "number", "L/2"), ("width", "positive", "L/40"),
          ("momentum", "number", 0.0)),
         "normalized packet exp(-(x-c)^2/(4w^2) + i k (x-c)); on the periodic"
         " box pick momentum a multiple of 2*pi/L",
-        lambda grid, rng, b: states.gaussian(
-            grid, center=b["center"], width=b["width"], momentum=b["momentum"])),
+        lambda build, b: states.gaussian(
+            build.grid, center=b["center"], width=b["width"], momentum=b["momentum"])),
     "plane-wave": (
         (("mode", "integer", 1),),
         "exp(i 2 pi mode x / L) / sqrt(L)",
-        lambda grid, rng, b: states.plane_wave(grid, mode=b["mode"])),
+        lambda build, b: states.plane_wave(build.grid, mode=b["mode"])),
     "random-nodeless": (
         (("max_mode", "count", 4), ("log_amp", "number", 0.4),
          ("phase_amp", "number", 0.4)),
         "seeded band-limited exp(u+is), strictly nodeless, zero winding",
-        lambda grid, rng, b: states.normalized(states.random_nodeless_field(
-            grid, rng, max_mode=b["max_mode"], log_amp=b["log_amp"],
-            phase_amp=b["phase_amp"]), grid)),
+        lambda build, b: states.normalized(states.random_nodeless_field(
+            build.grid, build.rng, max_mode=b["max_mode"], log_amp=b["log_amp"],
+            phase_amp=b["phase_amp"]), build.grid)),
     "two-gaussian": (
         (("separation", "number", "L/4"), ("width", "positive", "L/32")),
         "orthonormalized displaced pair; mixprobe rotates it by 'angle'",
-        lambda grid, rng, b: states.normalized(np.add(*states.two_gaussian_pair(
-            grid, separation=b["separation"], width=b["width"])), grid)),
+        lambda build, b: states.normalized(np.add(*states.two_gaussian_pair(
+            build.grid, separation=b["separation"], width=b["width"])), build.grid)),
 }
 
 POTENTIALS = {
@@ -199,9 +204,9 @@ POTENTIALS = {
              _potential_file),
     "harmonic": ((("omega", "number", 1.0), ("center", "number", "L/2")),
                  "(omega^2/2) |x - c|^2",
-                 lambda grid, rng, b: states.harmonic_potential(
-                     grid, omega=b["omega"], center=b["center"])),
-    "none": ((), "free evolution", lambda grid, rng, b: None),
+                 lambda build, b: states.harmonic_potential(
+                     build.grid, omega=b["omega"], center=b["center"])),
+    "none": ((), "free evolution", lambda build, b: None),
 }
 
 # every initial state but the two-gaussian pair, which only mixprobe and evolve take
@@ -289,9 +294,10 @@ def resolve_config(raw: dict) -> dict:
 
 class _Inputs:
     """The inputs of one resolved config: ``build(name)`` makes the object of
-    block ``name`` through the table that validated it. Initial states draw
-    from the run's one generator ``rng``, seeded by ``run.seed``, in the order
-    they are asked for; ``grid`` and ``sim`` (the run block) are built at once."""
+    block ``name`` through the table that validated it. ``grid`` and ``sim``
+    (the run block) are built at once; ``rng``, the run's one generator seeded
+    by ``run.seed``, at its first draw, so that a run that draws nothing never
+    imports ``numpy.random``. Draws come in the order blocks are asked for."""
 
     def __init__(self, cfg: dict, force_dt: bool = False):
         run = cfg["run"]
@@ -300,7 +306,10 @@ class _Inputs:
             dt=run["dt"], t_final=run["t_final"], output_every=run["output_every"],
             policy=RegularizationPolicy(rho_floor_rel=run["rho_floor_rel"]),
             force_dt=force_dt)
-        self.rng = np.random.default_rng(run["seed"])
+
+    @cached_property
+    def rng(self):
+        return np.random.default_rng(self.cfg["run"]["seed"])
 
     def __call__(self, name: str):
         b = self.cfg[name]
@@ -309,8 +318,7 @@ class _Inputs:
         if name == "gauge":
             return GaugeTransform(b["gamma"], b["lambda"], b["theta_const"])
         table = BLOCKS[name][0]  # a preset table: the row the block names
-        return table[b["preset"] if table is STATE_PRESETS else b["type"]][2](
-            self.grid, self.rng, b)
+        return table[b["preset"] if table is STATE_PRESETS else b["type"]][2](self, b)
 
 
 # ---------------------------------------------------------------- output ----
@@ -318,9 +326,10 @@ class _Inputs:
 class _Stage(AbstractContextManager):
     """The output files of one run in ``out_dir``, each written as
     ``<name>.part`` by ``open(name)``, which makes the directory and every
-    missing parent with the first file. ``commit()`` renames them into place
-    in the order opened; ``discard()`` removes them and every directory made
-    for them. The stage commits when its block ends and discards when the
+    missing parent with the first file. ``commit()`` checks that no target is
+    a directory, which a file cannot replace, then renames them into place in
+    the order opened; ``discard()`` removes them and every directory made for
+    them. The stage commits when its block ends and discards when the
     block, or the commit, raises."""
 
     def __init__(self, out_dir):
@@ -337,6 +346,10 @@ class _Stage(AbstractContextManager):
     def commit(self):
         for fh in self.files.values():
             fh.close()
+        for name in self.files:  # checked first, so that no file is renamed
+            target = self.dir / name
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(f"output {target} is a directory")
         for name in self.files:
             (self.dir / f"{name}.part").replace(self.dir / name)
 

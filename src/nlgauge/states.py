@@ -6,6 +6,8 @@ k a multiple of 2*pi/L; localized packets tolerate any k because the envelope
 kills the boundary mismatch.
 """
 
+from __future__ import annotations  # evaluating np.random.Generator imports numpy.random
+
 import numpy as np
 
 from .grid import GridSpec, l2_norm

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgauge import cli, dynamics
+from nlgauge import cli, dynamics, states
 from nlgauge.dynamics import Trajectory
 from nlgauge.functionals import density
 from nlgauge.grid import l2_norm, make_grid
@@ -484,6 +484,22 @@ class TestStreamedFrames:
         assert cli.run(rerun, series_dir) == 2
         assert tree(tmp_path) == before
 
+    def test_directory_in_place_of_an_output_leaves_out_unchanged(self, tmp_path,
+                                                                 capsys):
+        # manifest.json, the second file to be renamed, cannot replace a
+        # directory: series.csv must not be committed before that is found
+        cfg = {"experiment": "gauge-check",
+               "grid": {"dimension": 1, "n": 32, "length": 20.0}, "trials": 3,
+               "run": {"dt": 1e-3, "t_final": 1.0}}
+        cfg_path = write_config(tmp_path, cfg)
+        (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+        before = tree(tmp_path)
+        assert cli.run(cfg_path, tmp_path / "out") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: ")
+        assert not (tmp_path / "out" / "series.csv").exists()
+        assert tree(tmp_path) == before
+
     @pytest.mark.parametrize("experiment", ["evolve", "equivalence"])
     @pytest.mark.parametrize("fail", [fail_in_manifest, fail_on_close],
                              ids=["manifest", "close"])
@@ -615,6 +631,36 @@ class TestSeparabilityExperiment:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["diagnostics"]["residual_sup"] < 1e-6
 
+    def test_states_are_the_first_two_draws_of_the_seeded_generator(
+            self, tmp_path, monkeypatch):
+        # one generator per run, drawn from in the order the blocks are built
+        cfg = {
+            "experiment": "separability",
+            "grid": {"dimension": 1, "n": 32, "length": 20.0},
+            "coefficients": {"nu1": -0.5},
+            "initial_state": {"preset": "random-nodeless", "max_mode": 2},
+            "initial_state_y": {"preset": "random-nodeless", "max_mode": 3,
+                                "log_amp": 0.3},
+            "run": {"dt": 5e-3, "t_final": 0.01, "seed": 11},
+        }
+        seen = []
+        original = cli.separability_residual
+
+        def record(c, psi_x, psi_y, *args):
+            seen.extend([psi_x, psi_y])
+            return original(c, psi_x, psi_y, *args)
+
+        monkeypatch.setattr(cli, "separability_residual", record)
+        assert cli.run(write_config(tmp_path, cfg), tmp_path / "out") == 0
+        grid = make_grid(1, 32, 20.0)
+        rng = np.random.default_rng(11)
+        first = states.random_nodeless_field(grid, rng, max_mode=2)
+        second = states.random_nodeless_field(grid, rng, max_mode=3, log_amp=0.3)
+        expected = [states.normalized(psi, grid) for psi in (first, second)]
+        assert len(seen) == 2
+        for got, want in zip(seen, expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_requires_1d_grid(self, tmp_path):
         cfg = {
             "experiment": "separability",
@@ -645,30 +691,52 @@ class TestConvergenceExperiment:
         assert 3.0 < manifest["diagnostics"]["observed_order"] < 5.0
 
 
-def test_console_entry_point(tmp_path):
-    # module execution must behave like the installed script; the package
-    # comes from this checkout, also when it is not installed
+def fresh_interpreter(*args):
+    """The output of a new interpreter run with ``args``; the package comes
+    from this checkout, also when it is not installed."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-m", "nlgauge.cli", "presets"],
+    result = subprocess.run([sys.executable, *map(str, args)],
                             capture_output=True, text=True, env=env)
-    assert result.returncode == 0
-    assert "gaussian(center" in result.stdout
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_console_entry_point():
+    # module execution must behave like the installed script
+    assert "gaussian(center" in fresh_interpreter("-m", "nlgauge.cli", "presets")
+
+
+def modules_added_by_importing_the_cli(pre_import):
+    """Modules beyond nlgauge and the standard library that ``import
+    nlgauge.cli`` adds in a new interpreter that imported ``pre_import``."""
+    code = (f"import sys, {pre_import}; before = set(sys.modules); "
+            "import nlgauge.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if "
+            "m.partition('.')[0] not in sys.stdlib_module_names | {'nlgauge'}))")
+    return fresh_interpreter("-c", code).strip()
 
 
 def test_import_loads_nothing_beyond_numpy():
     # numpy is the only runtime dependency: on top of numpy (and numpy.random
     # with its Cython runtime) importing the CLI adds only nlgauge modules
     # and standard-library ones
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, numpy.random; before = set(sys.modules); "
-            "import nlgauge.cli; "
-            "print(sorted(m for m in set(sys.modules) - before if "
-            "m.partition('.')[0] not in sys.stdlib_module_names | {'nlgauge'}))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert modules_added_by_importing_the_cli("numpy.random") == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # on top of a plain numpy, not numpy.random either: only a run that draws
+    # loads it
+    assert modules_added_by_importing_the_cli("numpy") == "[]"
+
+
+@pytest.mark.parametrize("preset, draws", [("gaussian", False),
+                                           ("random-nodeless", True)])
+def test_numpy_random_is_loaded_only_by_a_run_that_draws(tmp_path, preset, draws):
+    cfg = write_config(tmp_path, base_evolve_config(initial_state={"preset": preset}))
+    code = ("import sys; from nlgauge import cli; "
+            "status = cli.main(['run', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(status, 'numpy.random' in sys.modules)")
+    out = fresh_interpreter("-c", code, cfg, tmp_path / "out").splitlines()
+    assert out[-1] == f"0 {draws}"

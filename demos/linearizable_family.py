@@ -29,7 +29,7 @@ psi0 /= ng.l2_norm(psi0, grid)
 c_lin = NLSECoefficients(nu1=-0.5)
 print("pushed coefficients of the gauged linear equation:")
 for gamma, lam in [(0.5, 2.0), (2.0, 0.5), (-2.0, -1.0)]:
-    cp = ng.push_forward_linear(gamma, lam, nu1=-0.5)
+    cp = ng.push_forward_family(GaugeTransform(gamma, lam), c_lin)
     print(f"  (gamma={gamma:+.1f}, lam={lam:+.1f}) -> nu1'={cp.nu1:+.3f} "
           f"nu2'={cp.nu2:+.3f} mu1'={cp.mu1:+.3f} mu2'={cp.mu2:+.3f} "
           f"mu4'={cp.mu4:+.3f} mu5'={cp.mu5:+.3f}")

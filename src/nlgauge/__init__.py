@@ -4,8 +4,8 @@ periodic 1D/2D boxes."""
 
 __version__ = "0.1.0"
 
-from .grid import (GridSpec, differentiate, ensure_field, inner_product,
-                   integrate, l2_norm, laplacian, make_grid)
+from .grid import (GridSpec, differentiate, ensure_field, integrate, l2_norm,
+                   laplacian, make_grid)
 from .functionals import (DEFAULT_POLICY, PhasePair, RegularizationPolicy,
                           current, density, divergence, modulus_phase,
                           unwrap_phase)
@@ -15,10 +15,9 @@ from .dynamics import (NLSECoefficients, NumericalBlowupError,
                        evolve_linear_exact, rhs, stability_bound, step_rk4)
 from .equivalence import (EquivalenceReport, coefficients_from_hydrodynamic,
                           commuting_residual, hydrodynamic_coefficients,
-                          linearizable_constraints, push_forward_family,
-                          push_forward_linear)
-from .ensembles import (InvariantViolation, MixedState, density_matrix,
-                        equivalent_decompositions, frobenius_distance,
+                          linearizable_constraints, push_forward_family)
+from .ensembles import (InvariantViolation, MixedState,
+                        equivalent_decompositions, kernel_distance,
                         marginal_density, mixed_divergence, product_grid,
-                        separability_residual, tensor_product, trace_distance)
+                        separability_residual, tensor_product)
 from . import states

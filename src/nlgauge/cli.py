@@ -442,8 +442,7 @@ class _FramesWriter:
 def write_frames_csv(path: Path, traj: Trajectory) -> None:
     """The frames of ``traj`` through :class:`_FramesWriter`, staged on their
     own; the file at ``path`` is complete when this returns."""
-    if not traj.frames:
-        raise ValueError("the trajectory holds no frames (were they streamed?)")
+    traj.final()  # refuses a trajectory whose frames were streamed
     path = Path(path)
     with _Stage(path.parent) as stage:
         write = _FramesWriter(stage, path.name, traj.grid)

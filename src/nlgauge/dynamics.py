@@ -61,7 +61,8 @@ from functools import cached_property
 import numpy as np
 
 from .functionals import DEFAULT_POLICY, RegularizationPolicy, density, unwrap_phase
-from .grid import GridSpec, fft_stack, ifft_stack, irfft_field, l2_norm, rfft_field
+from .grid import (GridSpec, ensure_field, fft_stack, ifft_stack, irfft_field,
+                   l2_norm, rfft_field)
 
 
 class NumericalBlowupError(RuntimeError):
@@ -108,9 +109,11 @@ class NLSECoefficients:
 
     @classmethod
     def from_array(cls, a) -> "NLSECoefficients":
+        """The member of the ten values of ``a``, in :data:`COEFF_NAMES` order."""
         a = [float(v) for v in a]
-        return cls(nu1=a[0], nu2=a[1], mu0=a[2], mu1=a[3], mu2=a[4],
-                   mu3=a[5], mu4=a[6], mu5=a[7], alpha1=a[8], alpha2=a[9])
+        if len(a) != len(COEFF_NAMES):
+            raise ValueError(f"expected {len(COEFF_NAMES)} coefficients, got {len(a)}")
+        return cls(**dict(zip(COEFF_NAMES, a)))
 
 
 class _Columns:
@@ -179,6 +182,9 @@ class Trajectory:
         return len(self.times)
 
     def final(self) -> np.ndarray:
+        """The last output frame; refused when the frames were streamed."""
+        if not self.frames:
+            raise ValueError("the trajectory holds no frames (were they streamed?)")
         return self.frames[-1]
 
     @property
@@ -334,21 +340,29 @@ def _member(batch: bool, b: int) -> str:
     return f"member {b}: " if batch else ""
 
 
-def _check_initial(psi0: np.ndarray, grid: GridSpec, members: int | None = None) -> None:
+def _check_inputs(psi0: np.ndarray, V, grid: GridSpec,
+                  members: int | None = None) -> None:
     """Shape, finiteness and normalization of one initial state, or of each
-    row of a stack of ``members`` states."""
+    row of a stack of ``members`` states; and V: None, one finite field of
+    ``grid.shape`` or, for a stack, one finite field per member."""
     batch = members is not None
     shape = (members,) + grid.shape if batch else grid.shape
     if psi0.shape != shape:
         what = f"{members} stacked states" if batch else "grid"
         raise ValueError(f"initial state shape {psi0.shape} != {what} shape {shape}")
     for b, p in enumerate(psi0 if batch else [psi0]):
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"{_member(batch, b)}initial state contains non-finite entries")
+        ensure_field(p, grid, f"{_member(batch, b)}initial state")
         nrm = l2_norm(p, grid)
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"{_member(batch, b)}initial state must be normalized, "
                              f"got ||psi0|| = {nrm!r}")
+    if V is None:
+        return
+    stack = batch and np.ndim(V) > grid.dimension
+    if stack and len(V) != members:
+        raise ValueError(f"potential stack has {len(V)} fields for {members} members")
+    for b, v in enumerate(V if stack else [V]):
+        ensure_field(v, grid, f"{_member(stack, b)}potential")
 
 
 def _run_steps(stepper, psi0, grid, config, label, batch=False, on_frame=None):
@@ -408,7 +422,7 @@ def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
 
     Norm is never renormalized during the run; drift is a diagnostic and a
     drift beyond 1e-3 aborts the run as unresolved. Each member's initial
-    state and stability bound are checked before any step.
+    state, potential and stability bound are checked before any step.
 
     ``on_frame(t, state)``, if given, receives each output frame as soon as
     it is computed and has passed the non-finite and norm-drift checks: t=0
@@ -421,7 +435,7 @@ def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
     batch = not isinstance(c, NLSECoefficients)
     members = list(c) if batch else [c]
     psi0 = np.asarray(psi0)
-    _check_initial(psi0, grid, len(members) if batch else None)
+    _check_inputs(psi0, V, grid, len(members) if batch else None)
     for b, cb in enumerate(members):
         bound = stability_bound(cb, grid)
         if not config.dt <= bound and not config.force_dt:
@@ -443,7 +457,7 @@ def evolve_linear_exact(nu1: float, psi0: np.ndarray, grid: GridSpec,
     propagator is exact to rounding for any dt; with V != 0 it is the
     second-order Strang composition. No stability bound applies.
     """
-    _check_initial(psi0, grid)
+    _check_inputs(psi0, V, grid)
     kinetic = np.exp(1j * nu1 * grid.k_squared_total * config.dt)
 
     def free(p):  # p is a fresh array, transformed in place

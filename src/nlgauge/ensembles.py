@@ -10,13 +10,13 @@ pairs of distinct decompositions with identical W. Linear evolution keeps the
 kernels of such pairs equal; a nonlinear member of the family does not, and
 the divergence D(t) quantifies the split.
 
-The probe never builds a kernel. It takes an orthonormal basis Q of the span
-of the J components of both mixtures (thin QR of the stacked states), so that
-W = Q K Q^H with the J x J factor K = sum_j lambda_j a_j a_j^H, a_j = Q^H psi_j,
-and D = dx^d ||K_a - K_b||_F at O(J^2 N^d) cost. Mixtures on 2D grids are
-therefore accepted. The N x N kernel functions (:func:`density_matrix`,
-:func:`frobenius_distance`, :func:`trace_distance`) are the oracle that the
-factor is tested against, not a path of the probe.
+The library never builds a kernel. :func:`kernel_distance` takes an
+orthonormal basis Q of the span of the J components of both mixtures (thin QR
+of the stacked states), so that W = Q K Q^H with the J x J factor
+K = sum_j lambda_j a_j a_j^H, a_j = Q^H psi_j, and D = dx^d ||K_a - K_b||_F at
+O(J^2 N^d) cost. Mixtures on 2D grids are therefore accepted. The N x N
+kernels, and their Frobenius and trace distances, are the oracle that the
+factor is tested against (``tests/conftest.py``), not a path of the library.
 
 Both experiments evolve their independent states as the members of one
 batched :func:`nlgauge.dynamics.evolve` call per step size (the components
@@ -61,11 +61,6 @@ class MixedState:
                 raise ValueError(f"component {j} is not normalized: ||psi|| = {nrm!r}")
 
 
-def _kernel(weights, states) -> np.ndarray:
-    psis = np.asarray(states)
-    return np.einsum("j,jx,jy->xy", weights, psis, psis.conj())
-
-
 def _factor_distance(weights_a, states_a, weights_b, states_b,
                      grid: GridSpec) -> float:
     """dx-weighted Frobenius distance of the kernels of two mixtures, from
@@ -89,23 +84,14 @@ def _factor_distance(weights_a, states_a, weights_b, states_b,
     return float(np.linalg.norm(diff) * grid.dx ** grid.dimension)
 
 
-def density_matrix(m: MixedState) -> np.ndarray:
-    """Kernel W(x, y) = sum_j w_j psi_j(x) conj(psi_j(y)) (1D states); the
-    N x N oracle for the factor distance of the probe."""
-    if m.grid.dimension != 1:
-        raise ValueError("density_matrix expects 1D component states")
-    return _kernel(m.weights, m.states)
-
-
-def frobenius_distance(w1: np.ndarray, w2: np.ndarray, grid: GridSpec) -> float:
-    """dx^d-weighted Frobenius norm of the kernel difference."""
-    return float(np.linalg.norm(w1 - w2) * grid.dx ** grid.dimension)
-
-
-def trace_distance(w1: np.ndarray, w2: np.ndarray, grid: GridSpec) -> float:
-    """(1/2) sum |eigenvalues| of the kernel difference (slower metric)."""
-    eigs = np.linalg.eigvalsh((w1 - w2) * grid.dx ** grid.dimension)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+def kernel_distance(dec_a: MixedState, dec_b: MixedState) -> float:
+    """dx^d-weighted Frobenius distance of the kernels of two mixtures on one
+    grid, from their J x J factors; exactly 0.0 for identical mixtures."""
+    if dec_a.grid != dec_b.grid:
+        raise ValueError(f"the mixtures are on different grids: "
+                         f"{dec_a.grid} and {dec_b.grid}")
+    return _factor_distance(dec_a.weights, dec_a.states,
+                            dec_b.weights, dec_b.states, dec_a.grid)
 
 
 def equivalent_decompositions(psi_a: np.ndarray, psi_b: np.ndarray,
@@ -123,8 +109,7 @@ def equivalent_decompositions(psi_a: np.ndarray, psi_b: np.ndarray,
     ca, sa = np.cos(angle), np.sin(angle)
     dec_b = MixedState(half, [ca * psi_a + sa * psi_b,
                               -sa * psi_a + ca * psi_b], grid)
-    check = _factor_distance(dec_a.weights, dec_a.states,
-                             dec_b.weights, dec_b.states, grid)
+    check = kernel_distance(dec_a, dec_b)
     if not check <= 1e-12 * max(1.0, abs(psi_a).max() ** 2):
         raise InvariantViolation(
             f"rotated decomposition kernel deviates by {check:.3e}")
@@ -143,13 +128,11 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
 
     Precondition: the kernels agree at t=0 (the decompositions are
     physically equivalent)."""
-    grid = dec_a.grid
-    d0 = _factor_distance(dec_a.weights, dec_a.states,
-                          dec_b.weights, dec_b.states, grid)
+    d0 = kernel_distance(dec_a, dec_b)
     if not d0 <= 1e-10:
         raise InvariantViolation(
             f"decompositions are not equivalent at t=0: D(0) = {d0:.3e}")
-    n_a, series = len(dec_a.states), []
+    grid, n_a, series = dec_a.grid, len(dec_a.states), []
 
     def on_frame(t, psi):  # D(t) as each frame is made; no frame is kept
         # not MixedStates: frames may drift in norm beyond their 1e-10 check

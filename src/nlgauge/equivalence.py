@@ -23,6 +23,11 @@ evolve-then-gauge must agree to the solver's order, and a deliberately
 perturbed law must not. Its two paths (c on psi0, and c' on the gauged psi0)
 are two members of one batched evolution per step size; each keeps its own
 density floor and phase anchor.
+
+:func:`push_forward_family` is the library's one push-forward; the gauged
+linear equation is its image of a linear member. The closed form of that
+image, derived on its own, is the tests' cross-check of the law
+(``push_forward_linear`` in ``tests/conftest.py``).
 """
 
 from dataclasses import dataclass
@@ -76,17 +81,12 @@ def coefficients_from_hydrodynamic(a, b, tol: float = 1e-9) -> NLSECoefficients:
                             alpha1=alpha1, alpha2=alpha2)
 
 
-def _require_pushable(g: GaugeTransform):
-    if not g.theta_is_zero:
-        raise ValueError("coefficient push-forward requires theta == 0")
-    if g.lam == 0.0:
-        raise ValueError("lam must be nonzero")
-
-
 def push_forward_family(g: GaugeTransform, c: NLSECoefficients) -> NLSECoefficients:
     """Coefficients c' such that psi solving the family with c implies
-    N_g[psi] solves it with c'. Constant (gamma, lam), theta == 0 only."""
-    _require_pushable(g)
+    N_g[psi] solves it with c'. Constant (gamma, lam), theta == 0 only
+    (GaugeTransform itself refuses lam == 0)."""
+    if not g.theta_is_zero:
+        raise ValueError("coefficient push-forward requires theta == 0")
     if g.gamma == 0.0 and g.lam == 1.0:
         return c
     gam, lam = g.gamma, g.lam
@@ -111,33 +111,10 @@ def push_forward_family(g: GaugeTransform, c: NLSECoefficients) -> NLSECoefficie
     return coefficients_from_hydrodynamic(ap, bp)
 
 
-def push_forward_linear(gamma: float, lam: float, nu1: float,
-                        mu0: float = 0.0) -> NLSECoefficients:
-    """Closed form of the gauged linear equation (the linearizable family).
-
-    Independent of :func:`push_forward_family`; the two routes are
-    cross-checked in the tests.
-    """
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
-    q = nu1 * (lam ** 2 + gamma ** 2 - 1.0) / (2.0 * lam)
-    return NLSECoefficients(
-        nu1=nu1 / lam,
-        nu2=-gamma * nu1 / (2.0 * lam),
-        mu0=lam * mu0,
-        mu1=gamma / 2.0,
-        mu2=q,
-        mu3=0.0,
-        mu4=-gamma / 2.0,
-        mu5=-q / 2.0,
-        alpha1=0.0,
-        alpha2=0.0,
-    )
-
-
 def linearizable_constraints(c: NLSECoefficients) -> dict:
     """Residuals of the algebraic relations satisfied by every gauged-linear
-    coefficient set; all zero exactly on the image of push_forward_linear."""
+    coefficient set; all zero exactly on the push-forwards of the linear
+    members (nu1, mu0)."""
     return {
         "mu3": c.mu3,
         "mu1_plus_mu4": c.mu1 + c.mu4,

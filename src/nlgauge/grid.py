@@ -211,11 +211,6 @@ def integrate(f: np.ndarray, grid: GridSpec) -> float:
     return float(np.sum(f) * grid.dx ** grid.dimension)
 
 
-def inner_product(f: np.ndarray, g: np.ndarray, grid: GridSpec) -> complex:
-    """L2 inner product <f, g> = sum conj(f) g dx^d."""
-    return complex(np.vdot(f, g) * grid.dx ** grid.dimension)
-
-
 def l2_norm(f: np.ndarray, grid: GridSpec) -> float:
     """L2 norm with the grid measure."""
     return float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.dx ** grid.dimension))

@@ -129,12 +129,9 @@ def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
                 a, b = rng.normal(size=2)
                 prof += a * np.cos(m * two_pi_over_l * x) + b * np.sin(m * two_pi_over_l * x)
             prof /= max_mode ** 0.5
-            if grid.dimension == 1:
-                f += prof
-            else:
-                shape = [1, 1]
-                shape[axis] = grid.n
-                f = f + prof.reshape(shape)
+            shape = [1] * grid.dimension
+            shape[axis] = grid.n
+            f = f + prof.reshape(shape)
         return f
 
     u = log_amp * band_limited()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import nlgauge as ng
+from nlgauge import MixedState, NLSECoefficients
 from nlgauge.functionals import DEFAULT_POLICY
+from nlgauge.grid import GridSpec
 
 
 def trig_packet(grid, depth=1.2, ripple=0.15, s1=0.3, s2=0.2):
@@ -55,6 +57,57 @@ def quotient_reference(index, psi, grid, nu1, policy=DEFAULT_POLICY):
     if index == 4:
         return np.sum(jvec * grad_rho, axis=0) / rho_s ** 2
     raise ValueError(f"index must be in 1..5, got {index}")
+
+
+# The N x N kernel oracle of ``nlgauge.kernel_distance``: the kernels are
+# built entry by entry and compared directly, with no factorization.
+
+def _kernel(weights, states) -> np.ndarray:
+    psis = np.asarray(states)
+    return np.einsum("j,jx,jy->xy", weights, psis, psis.conj())
+
+
+def density_matrix(m: MixedState) -> np.ndarray:
+    """Kernel W(x, y) = sum_j w_j psi_j(x) conj(psi_j(y)) (1D states); the
+    N x N oracle for the factor distance of the probe."""
+    if m.grid.dimension != 1:
+        raise ValueError("density_matrix expects 1D component states")
+    return _kernel(m.weights, m.states)
+
+
+def frobenius_distance(w1: np.ndarray, w2: np.ndarray, grid: GridSpec) -> float:
+    """dx^d-weighted Frobenius norm of the kernel difference."""
+    return float(np.linalg.norm(w1 - w2) * grid.dx ** grid.dimension)
+
+
+def trace_distance(w1: np.ndarray, w2: np.ndarray, grid: GridSpec) -> float:
+    """(1/2) sum |eigenvalues| of the kernel difference (slower metric)."""
+    eigs = np.linalg.eigvalsh((w1 - w2) * grid.dx ** grid.dimension)
+    return 0.5 * float(np.sum(np.abs(eigs)))
+
+
+def push_forward_linear(gamma: float, lam: float, nu1: float,
+                        mu0: float = 0.0) -> NLSECoefficients:
+    """Closed form of the gauged linear equation (the linearizable family).
+
+    Independent of :func:`push_forward_family`; the two routes are
+    cross-checked in the tests.
+    """
+    if lam == 0.0:
+        raise ValueError("lam must be nonzero")
+    q = nu1 * (lam ** 2 + gamma ** 2 - 1.0) / (2.0 * lam)
+    return NLSECoefficients(
+        nu1=nu1 / lam,
+        nu2=-gamma * nu1 / (2.0 * lam),
+        mu0=lam * mu0,
+        mu1=gamma / 2.0,
+        mu2=q,
+        mu3=0.0,
+        mu4=-gamma / 2.0,
+        mu5=-q / 2.0,
+        alpha1=0.0,
+        alpha2=0.0,
+    )
 
 
 @pytest.fixture

@@ -171,6 +171,17 @@ class TestBatchedEvolve:
         with pytest.raises(ValueError, match="2 stacked states"):
             ng.evolve(members[:2], psis, grid64, cfg)
 
+    def test_potential_stack_checked_per_member(self, grid64):
+        members, psis = self._three(grid64)
+        cfg = SimulationConfig(dt=1e-3, t_final=0.01)
+        V = np.zeros((3,) + grid64.shape)
+        V[1, 7] = np.inf
+        with pytest.raises(ValueError, match="member 1: potential contains non-finite"):
+            ng.evolve(members, psis, grid64, cfg, V)
+        # a stack with the wrong member count used to fail inside numpy
+        with pytest.raises(ValueError, match="2 fields for 3 members"):
+            ng.evolve(members, psis, grid64, cfg, V[:2])
+
 
 @pytest.fixture
 def evolve_calls(monkeypatch):

@@ -284,6 +284,13 @@ class TestEvolve:
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
         assert SimulationConfig(dt=dt, t_final=t_final).n_steps() == steps
 
+    def test_final_of_streamed_frames_is_refused(self, grid64, packet64):
+        cfg = SimulationConfig(dt=1e-3, t_final=0.01)
+        traj = ng.evolve(NLSECoefficients(), packet64, grid64, cfg,
+                         on_frame=lambda t, psi: None)
+        with pytest.raises(ValueError, match="holds no frames"):
+            traj.final()
+
     def test_frames_include_endpoints(self, grid64, packet64):
         cfg = SimulationConfig(dt=1e-3, t_final=0.01, output_every=3)
         traj = ng.evolve(NLSECoefficients(), packet64, grid64, cfg)
@@ -309,6 +316,34 @@ class TestEvolve:
         r1, r2, r3 = residual(8e-3), residual(4e-3), residual(2e-3)
         assert 1.5 < np.log2(r1 / r2) < 2.5
         assert 1.5 < np.log2(r2 / r3) < 2.5
+
+
+class TestPotentialCheck:
+    """evolve and evolve_linear_exact check V before any step."""
+
+    cfg = SimulationConfig(dt=1e-3, t_final=0.01)
+    c = NLSECoefficients(nu1=-0.5, mu0=1.0)
+
+    @pytest.mark.parametrize("V", [np.arange(16.0), np.arange(16.0)[:, None]],
+                             ids=["V(y)", "V(x)"])
+    def test_2d_refuses_a_field_of_the_wrong_shape(self, V):
+        # each used to broadcast silently over the other axis
+        grid = ng.make_grid(2, 16, 20.0)
+        with pytest.raises(ValueError, match=r"potential has shape \(16,"):
+            ng.evolve(self.c, trig_packet(grid), grid, self.cfg, V)
+
+    @pytest.mark.parametrize("evolve", ["evolve", "evolve_linear_exact"])
+    def test_refuses_a_non_finite_potential(self, grid64, packet64, evolve):
+        # used to raise NumericalBlowupError at step 1, blaming dt
+        V = np.zeros(grid64.shape)
+        V[5] = np.nan
+        args = (self.c,) if evolve == "evolve" else (-0.5,)
+        with pytest.raises(ValueError, match="potential contains non-finite"):
+            getattr(ng, evolve)(*args, packet64, grid64, self.cfg, V)
+
+    def test_linear_exact_refuses_the_wrong_shape(self, grid64, packet64):
+        with pytest.raises(ValueError, match="potential has shape"):
+            ng.evolve_linear_exact(-0.5, packet64, grid64, self.cfg, np.zeros(32))
 
 
 class TestLinearExact:
@@ -355,6 +390,13 @@ class TestNLSECoefficients:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             NLSECoefficients(nu1=np.nan)
+
+    @pytest.mark.parametrize("length", [0, 9, 11, 12])
+    def test_from_array_refuses_a_length_other_than_ten(self, length):
+        # 12 values used to build a member from the first ten, and fewer
+        # than ten raised IndexError
+        with pytest.raises(ValueError, match="expected 10 coefficients"):
+            NLSECoefficients.from_array(range(length))
 
 
 def test_simulation_config_validation():

@@ -8,7 +8,7 @@ from nlgauge import GaugeTransform, NLSECoefficients, SimulationConfig
 from nlgauge.equivalence import (coefficients_from_hydrodynamic,
                                  hydrodynamic_coefficients)
 
-from conftest import trig_packet
+from conftest import push_forward_linear, trig_packet
 
 
 def random_coeffs(rng, nu1_scale=1.0, other=0.3):
@@ -47,12 +47,12 @@ class TestPushForward:
         assert ng.push_forward_family(ng.identity(), c) is c
 
     def test_linear_identity_gauge(self):
-        c = ng.push_forward_linear(0.0, 1.0, nu1=-0.5, mu0=0.7)
+        c = push_forward_linear(0.0, 1.0, nu1=-0.5, mu0=0.7)
         assert c.nu1 == -0.5 and c.mu0 == 0.7
         assert c.linear_case()
 
     def test_gamma_only_turns_on_nu2(self):
-        c = ng.push_forward_linear(0.8, 1.0, nu1=-0.5)
+        c = push_forward_linear(0.8, 1.0, nu1=-0.5)
         assert c.nu2 != 0.0
 
     def test_closed_form_agrees_with_family_route(self, rng):
@@ -60,7 +60,7 @@ class TestPushForward:
         for _ in range(30):
             gamma, lam = rng.normal(), rng.choice([-1, 1]) * rng.uniform(0.2, 4)
             nu1, mu0 = rng.choice([-0.5, 0.3, 1.0]), rng.normal()
-            direct = ng.push_forward_linear(gamma, lam, nu1, mu0)
+            direct = push_forward_linear(gamma, lam, nu1, mu0)
             via_family = ng.push_forward_family(
                 GaugeTransform(gamma, lam),
                 NLSECoefficients(nu1=nu1, nu2=0, mu0=mu0, mu1=0, mu2=0, mu3=0,
@@ -92,7 +92,7 @@ class TestPushForward:
     def test_linearizable_constraints(self, rng):
         for _ in range(20):
             gamma, lam = rng.normal(), rng.choice([-1, 1]) * rng.uniform(0.2, 4)
-            c = ng.push_forward_linear(gamma, lam, nu1=-0.5, mu0=rng.normal())
+            c = push_forward_linear(gamma, lam, nu1=-0.5, mu0=rng.normal())
             for name, resid in ng.linearizable_constraints(c).items():
                 assert abs(resid) < 1e-12, name
         generic = NLSECoefficients(nu1=-0.5, mu3=0.2)

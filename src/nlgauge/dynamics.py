@@ -25,9 +25,32 @@ transforms are those of the :mod:`nlgauge.grid` transform layer on
 ``numpy.fft``: the complex stacks are transformed in place, in 2D as two 1D
 passes (axis -2, then axis -1), and the real current goes through its half
 spectrum (``rfft``, and in 2D one ``fft`` over axis -2) with the half-layout
-multipliers ``grid.ik_half``. All terms except i*nu2*R2 are summed into one
-real field m, the density-floor gate is folded once into 1/rho, and the
-result is -i (nu1 lap psi + (m + i nu2 R2) psi).
+multipliers ``grid.ik_half``.
+
+The plan. What a run keeps fixed is worked out once, by :func:`evolve` after
+its input checks, in a private plan that every :func:`step_rk4` and
+:func:`rhs` call of the run shares: the coefficients, which term blocks are
+on, and the spectral factors with the coefficients folded in,
+
+    -i nu1 / N         on psi as it is copied into the forward stack, so that
+                       with the grid's lap and 2k the rows are -i nu1 lap psi
+                       (the linear part of the result) and -2 nu1 grad psi
+                       (J = Im(conj(psi) row), with no extra pass)
+    (nu2 - i mu2) / N  on the lap rho row once it is divided by rho, so that
+                       it holds (nu2 - i mu2) R2
+    mu1 ik_half / N    for the half spectrum of J, so its inverse is mu1 div J
+
+where 1/N is the factor that the inverse transforms then leave out (numpy's
+``norm="forward"``; the same bits when n is a power of two). The plan holds
+no array of the grid's size, for one member or a batch: the lap rho row
+takes the grid's own lap, since a (nu2 - i mu2) lap multiplier held for the
+run raised the peak resident memory of 2D runs. A
+direct call with a batch makes its own plan; one with a single member reuses
+that member's last plan. The density-floor gate is folded once into 1/rho,
+and the rows that the quotients read are scaled by it in place. The other
+terms are summed into one real field m, and the result is
+h = K psi + (-i nu1 lap psi) with the single complex multiplier
+K = (nu2 - i mu2) R2 - i m.
 
 :func:`rhs` is the package's only implementation of the quotients. Its
 oracles live in the tests: closed forms of every term on psi = exp(u + iS)
@@ -56,7 +79,7 @@ oracle for linearizability experiments.
 
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -116,18 +139,61 @@ class NLSECoefficients:
         return cls(**dict(zip(COEFF_NAMES, a)))
 
 
-class _Columns:
-    """B members' coefficients as ``(B, 1[, 1])`` columns under the same
-    names, with ``nonzero`` the union over the batch."""
+class _Plan:
+    """What every :func:`rhs` evaluation of one run shares, made once: the
+    coefficients (scalars for one member, ``(B, 1[, 1])`` columns for B
+    members), which term blocks are on (the union over the batch) and the
+    spectral factors with the coefficients folded in (module doc)."""
 
-    def __init__(self, cs, dimension: int):
-        a = np.array([c.as_array() for c in cs])
-        if not len(a):
-            raise ValueError("a batch needs at least one member")
-        shape = (len(a),) + (1,) * dimension
-        for name, col in zip(COEFF_NAMES, a.T):
-            setattr(self, name, col.reshape(shape))
-        self.nonzero = Nonzero(*(a != 0.0).any(axis=0).tolist())
+    def __init__(self, c, grid: GridSpec):
+        if isinstance(c, NLSECoefficients):
+            values, on = [getattr(c, name) for name in COEFF_NAMES], c.nonzero
+        else:
+            a = np.array([m.as_array() for m in c])
+            if not len(a):
+                raise ValueError("a batch needs at least one member")
+            on = Nonzero(*(a != 0.0).any(axis=0).tolist())
+            values = a.T.reshape((len(COEFF_NAMES), len(a)) + (1,) * grid.dimension)
+        vars(self).update(zip(COEFF_NAMES, values))  # plan.nu1, ..., plan.alpha2
+        self.grid, self.on = grid, on
+        self.lap_rho = on.nu2 or on.mu2
+        self.grad_rho = on.mu4 or on.mu5
+        self.current = on.mu1 or on.mu3 or on.mu4
+        self.quotients = self.lap_rho or self.grad_rho or self.current
+        # (block of the forward stack, multiplier) per derivative row. psi is
+        # transformed as (-i nu1 / N) psi, so the grid's own lap and 2k give
+        # the rows -i nu1 lap psi and -2 nu1 grad psi; the other multipliers
+        # carry their coefficients and the 1/N of the unscaled inverse
+        # transforms; (nu2 - i mu2) / N is applied to the lap rho row in rhs.
+        self.psi_scale = -1j * self.nu1 / grid.npoints
+        self.rows = [(0, grid.laplacian_symbol)]
+        if self.current:
+            self.rows += [(0, 2.0 * grid.wavenumbers(a, zero_nyquist=True))
+                          for a in range(grid.dimension)]
+        if self.lap_rho:
+            self.rows.append((1, grid.laplacian_symbol))
+            self.r2_factor = (self.nu2 - 1j * self.mu2) / grid.npoints
+        if self.grad_rho:
+            self.rows += [(1, k / grid.npoints) for k in grid.ik]
+        if on.mu1:
+            self.div = [(self.mu1 / grid.npoints) * k for k in grid.ik_half]
+        # the rows scaled by 1/rho: all but -i nu1 lap psi, less the current
+        # rows when only div J reads them (before the scaling)
+        only_div = self.current and not (on.mu3 or on.mu4)
+        self.scaled = slice(1 + grid.dimension * only_div, len(self.rows))
+
+
+# Direct calls with one member (an NLSECoefficients is hashable) reuse its
+# last plan: building one costs 4-10 us in 1D, a tenth of a linear rhs call.
+# A batch gets a new plan per call; evolve makes its own.
+_member_plan = lru_cache(maxsize=1)(_Plan)
+
+
+def _plan_of(c, grid: GridSpec) -> _Plan:
+    """``c`` itself when it is a plan, else the plan of ``c`` on ``grid``."""
+    if isinstance(c, _Plan):
+        return c
+    return _member_plan(c, grid) if isinstance(c, NLSECoefficients) else _Plan(c, grid)
 
 
 @dataclass(frozen=True)
@@ -198,30 +264,21 @@ def stability_bound(c: NLSECoefficients, grid: GridSpec) -> float:
     return 0.2 * dx2 / max(abs(c.nu1), abs(c.nu2), dx2)
 
 
-def _derivatives(psi: np.ndarray, rho: np.ndarray | None, grid: GridSpec,
-                 grad_psi: bool, lap_rho: bool, grad_rho: bool) -> np.ndarray:
-    """Stack of [lap psi, grad psi, lap rho, grad rho] (each block only when
-    asked for) from one forward transform of the stacked [psi, rho] and one
-    inverse transform of the stacked derivative spectra. The block axis
-    comes first, before any member axis of psi."""
-    with_rho = lap_rho or grad_rho
+def _derivatives(psi: np.ndarray, rho: np.ndarray | None, plan: _Plan) -> np.ndarray:
+    """Stack of the plan's derivative rows from one forward transform of the
+    stacked [(-i nu1 / N) psi, rho] (rho only when a row needs it) and one
+    unscaled inverse transform of the multiplied spectra. The row axis comes
+    first, before any member axis of psi."""
+    with_rho = plan.lap_rho or plan.grad_rho
     fwd = np.empty((1 + with_rho,) + psi.shape, complex)
-    fwd[0] = psi
+    np.multiply(psi, plan.psi_scale, out=fwd[0])
     if with_rho:
         fwd[1] = rho
-    spec = fft_stack(fwd, grid)
-    lap, ik = grid.laplacian_symbol, grid.ik
-    pairs = [(spec[0], lap)]
-    if grad_psi:
-        pairs += [(spec[0], k) for k in ik]
-    if lap_rho:
-        pairs.append((spec[1], lap))
-    if grad_rho:
-        pairs += [(spec[1], k) for k in ik]
-    out = np.empty((len(pairs),) + psi.shape, complex)
-    for row, (f_k, mult) in zip(out, pairs):
-        np.multiply(f_k, mult, out=row)
-    return ifft_stack(out, grid)
+    spec = fft_stack(fwd, plan.grid)
+    out = np.empty((len(plan.rows),) + psi.shape, complex)
+    for row, (block, mult) in zip(out, plan.rows):
+        np.multiply(spec[block], mult, out=row)
+    return ifft_stack(out, plan.grid, norm="forward")
 
 
 def rhs(c, psi: np.ndarray, grid: GridSpec, V: np.ndarray | None = None,
@@ -230,86 +287,90 @@ def rhs(c, psi: np.ndarray, grid: GridSpec, V: np.ndarray | None = None,
 
     ``c`` is one :class:`NLSECoefficients` with ``psi`` of ``grid.shape``, or
     a sequence of B members with ``psi`` of shape ``(B, *grid.shape)``; V is
-    None, one field, or one field per member.
+    None, one field, or one field per member. :func:`evolve` passes its plan
+    in place of ``c``; a plan is refused on any other grid.
     """
-    if not isinstance(c, (NLSECoefficients, _Columns)):
-        c = _Columns(c, grid.dimension)
-    on = c.nonzero
-    need_lap_rho = on.nu2 or on.mu2
-    need_grad_rho = on.mu4 or on.mu5
-    need_j = on.mu1 or on.mu3 or on.mu4
-    need_quot = need_lap_rho or need_grad_rho or need_j
-    dim = grid.dimension
+    plan = _plan_of(c, grid)
+    if grid is not plan.grid and grid != plan.grid:
+        raise ValueError(f"the plan was made for {plan.grid}, not for {grid}")
+    on, dim = plan.on, grid.dimension
 
     rho = None
-    if need_quot or on.alpha1 or on.alpha2:
+    if plan.quotients or on.alpha1 or on.alpha2:
         rho = density(psi)
         eps = policy.floor(rho, dim)  # one per member
-        rho_s = np.maximum(rho, eps)
         valid = rho > eps
-    if need_quot:
+        floored = np.count_nonzero(valid) < valid.size
+        rho_s = np.maximum(rho, eps) if floored else rho
+    if plan.quotients:
         # Below the floor the quotient numerators (spectral globals) do not
         # shrink with the local density, so numerator/eps would pump invisible
         # tail amplitudes until they blow up. The gate folded into 1/rho
         # switches the quotient terms off there; on a nodeless state it never
         # engages.
         inv_rho = 1.0 / rho_s
-        if not valid.all():
+        if floored:
             inv_rho *= valid
 
-    derivs = _derivatives(psi, rho, grid, need_j, need_lap_rho, need_grad_rho)
-    h = c.nu1 * derivs[0]
-    i = 1
-    if need_j:
-        jvec = (-2.0 * c.nu1) * np.imag(np.conj(psi) * derivs[i:i + dim])
-        i += dim
-    if need_lap_rho:
-        r2 = derivs[i].real * inv_rho
-        i += 1
-    if need_grad_rho:
-        grad_rho_over_rho = derivs[i:i + dim].real * inv_rho
-    del derivs  # no view into the stack is kept; free it before the J transforms
-
-    # every term but i*nu2*R2 multiplies psi by one real field m
+    # every term but (nu2 - i mu2) R2 multiplies psi by -i times one real
+    # field m; the pointwise terms come first, before the derivative stack
+    # is held
     m = None
-    if on.mu1:
-        ik = grid.ik_half
-        j_k = rfft_field(jvec, grid)
-        div_k = j_k[0]
-        div_k *= ik[0]
-        for a in range(1, dim):
-            div_k += ik[a] * j_k[a]
-        m = _add(m, c.mu1 * irfft_field(div_k, grid) * inv_rho)
-    if on.mu2:
-        m = _add(m, c.mu2 * r2)
-    if on.mu3 or on.mu4:
-        j_over_rho = jvec * inv_rho
-        if on.mu3:
-            m = _add(m, c.mu3 * _dot(j_over_rho, j_over_rho))
-        if on.mu4:
-            m = _add(m, c.mu4 * _dot(j_over_rho, grad_rho_over_rho))
-    if on.mu5:
-        m = _add(m, c.mu5 * _dot(grad_rho_over_rho, grad_rho_over_rho))
     if on.alpha1:
-        m = _add(m, c.alpha1 * np.log(rho_s))
+        m = plan.alpha1 * np.log(rho_s)
     if on.alpha2:
-        m = _add(m, c.alpha2 * unwrap_phase(psi, valid=valid, dimension=dim))
-    if on.mu0 and V is not None:
-        m = _add(m, c.mu0 * V)  # last: V may be a broadcastable field
+        m = _add(m, plan.alpha2 * unwrap_phase(psi, valid=valid if floored else None,
+                                               dimension=dim, anchor_by=rho))
 
-    if on.nu2:
-        m = 1j * c.nu2 * r2 if m is None else m + 1j * c.nu2 * r2
-    if m is not None:
-        h += m * psi
-    h *= -1j
-    return h
+    derivs = _derivatives(psi, rho, plan)
+    h, i = derivs[0], 1  # -i nu1 lap psi, then views of the quotient rows
+    if plan.current:
+        currents = derivs[i:i + dim]
+        currents *= np.conj(psi)  # -2 nu1 conj(psi) grad psi: Im is J
+        i += dim
+    k = derivs[i] if plan.lap_rho else None  # N lap rho
+    i += plan.lap_rho
+    if plan.grad_rho:
+        grad_rho_over_rho = derivs[i:].real
+    if on.mu1:
+        j_k = rfft_field(currents.imag, grid)
+        div_k = j_k[0]
+        div_k *= plan.div[0]
+        for a in range(1, dim):
+            div_k += plan.div[a] * j_k[a]
+        m = _add(m, irfft_field(div_k, grid, norm="forward") * inv_rho)
+    if plan.scaled.start < plan.scaled.stop:
+        # in place, after the J transform: the views read from here on hold
+        # J/rho (imag), N R2 and grad rho / rho (real)
+        derivs[plan.scaled] *= inv_rho
+    if k is not None:
+        k *= plan.r2_factor  # (nu2 - i mu2) R2
+    if on.mu3 or on.mu4:  # J/rho . (mu3 J/rho + mu4 grad rho/rho)
+        j_over_rho = currents.imag
+        weighted = plan.mu3 * j_over_rho
+        if on.mu4:
+            weighted += plan.mu4 * grad_rho_over_rho
+        m = _add(m, _dot(j_over_rho, weighted))
+    if on.mu5:
+        m = _add(m, plan.mu5 * _dot(grad_rho_over_rho, grad_rho_over_rho))
+    if on.mu0 and V is not None:
+        m = _add(m, plan.mu0 * V)  # last: V may be a broadcastable field
+
+    # K = (nu2 - i mu2) R2 - i m, and the result K psi + h
+    if k is None and m is None:
+        return h
+    if k is None:
+        k = m * -1j
+    elif m is not None:
+        k.imag -= m
+    return k * psi + h
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise dot product of two per-axis stacked vector fields."""
     out = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        out += x * y
+    for axis in range(1, len(a)):
+        out += a[axis] * b[axis]
     return out
 
 
@@ -325,14 +386,16 @@ def step_rk4(c, psi: np.ndarray, grid: GridSpec, dt: float,
              V: np.ndarray | None = None,
              policy: RegularizationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """One classical Runge-Kutta step; local error O(dt^5). ``c``, ``psi``
-    and ``V`` as in :func:`rhs`."""
-    if not isinstance(c, (NLSECoefficients, _Columns)):
-        c = _Columns(c, grid.dimension)
-    k1 = rhs(c, psi, grid, V, policy)
-    k2 = rhs(c, psi + 0.5 * dt * k1, grid, V, policy)
-    k3 = rhs(c, psi + 0.5 * dt * k2, grid, V, policy)
-    k4 = rhs(c, psi + dt * k3, grid, V, policy)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    and ``V`` as in :func:`rhs`. The stages are combined in place, summed as
+    psi + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)."""
+    plan = _plan_of(c, grid)
+    k = total = rhs(plan, psi, grid, V, policy)
+    for shift, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        k = rhs(plan, psi + shift * k, grid, V, policy)
+        total += weight * k
+    total *= dt / 6.0
+    total += psi
+    return total
 
 
 def _member(batch: bool, b: int) -> str:
@@ -442,9 +505,9 @@ def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
             raise ValueError(
                 f"{_member(batch, b)}dt={config.dt:g} exceeds the stability bound "
                 f"{bound:g} (pass force_dt=True to override)")
-    coeffs = _Columns(members, grid.dimension) if batch else c
+    plan = _Plan(members if batch else c, grid)
     policy = config.policy
-    return _run_steps(lambda p: step_rk4(coeffs, p, grid, config.dt, V, policy),
+    return _run_steps(lambda p: step_rk4(plan, p, grid, config.dt, V, policy),
                       psi0, grid, config, "evolve", batch, on_frame)
 
 

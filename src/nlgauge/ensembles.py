@@ -139,7 +139,7 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
         series.append((float(t), _factor_distance(dec_a.weights, psi[:n_a],
                                                   dec_b.weights, psi[n_a:], grid)))
 
-    components = dec_a.states + dec_b.states
+    components = [*dec_a.states, *dec_b.states]
     evolve([c] * len(components), np.array(components), grid, config, V,
            on_frame=on_frame)
     return series

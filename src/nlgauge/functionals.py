@@ -122,26 +122,31 @@ def _unwrap_rows(p: np.ndarray) -> np.ndarray:
     set-up: the 2*pi-correction is only evaluated at the steps that need one."""
     dd = p[..., 1:] - p[..., :-1]
     jump = ~(np.abs(dd) < np.pi)
-    correction = np.zeros(dd.shape)
-    if jump.any():
+    out = p.copy()
+    if np.count_nonzero(jump):  # cheaper than any() on these small arrays
         d = dd[jump]
         dmod = np.mod(d + np.pi, 2 * np.pi) - np.pi
-        dmod[(dmod == -np.pi) & (d > 0)] = np.pi
+        low = dmod == -np.pi
+        if np.count_nonzero(low):
+            dmod[low & (d > 0)] = np.pi
+        correction = np.zeros(dd.shape)
         correction[jump] = dmod - d
-    out = p.copy()
-    out[..., 1:] += correction.cumsum(axis=-1)
+        out[..., 1:] += np.add.accumulate(correction, axis=-1, out=correction)
     return out
 
 
 def unwrap_phase(psi: np.ndarray, valid: np.ndarray | None = None,
-                 dimension: int | None = None) -> np.ndarray:
+                 dimension: int | None = None,
+                 anchor_by: np.ndarray | None = None) -> np.ndarray:
     """Unwrapped argument of psi, anchored at the density maximum.
 
     1D: a single pass of 2*pi-adjustments along the axis. 2D: unwrap the
     anchor column along axis 0, then each row along axis 1, then rebase.
-    The anchor is the first maximum of ``|psi|``. Where ``valid`` is False
-    the value is carried over from the nearest previous valid point of the
-    scan.
+    The anchor is the first maximum of ``|psi|``, found in ``anchor_by``
+    when the caller already holds ``|psi|`` or ``rho = |psi|**2`` (squaring
+    is strictly monotone on the moduli, so both give the same point). Where
+    ``valid`` is False the value is carried over from the nearest previous
+    valid point of the scan.
 
     ``dimension`` is the number of field axes (default ``psi.ndim``). One
     more, leading, axis indexes members: each is unwrapped, anchored at its
@@ -153,12 +158,13 @@ def unwrap_phase(psi: np.ndarray, valid: np.ndarray | None = None,
                          "one leading member axis")
     members = psi.ndim > dim
     ang = np.arctan2(psi.imag, psi.real)
+    peak = np.abs(psi) if anchor_by is None else anchor_by
     if members:  # index arrays over the members, broadcasting against ang
-        flat = np.abs(psi).reshape(len(psi), -1).argmax(axis=1)
+        flat = peak.reshape(len(psi), -1).argmax(axis=1)
         flat = flat.reshape((-1,) + (1,) * dim)
         lead = (np.arange(len(psi)).reshape(flat.shape),)
     else:
-        flat, lead = int(np.abs(psi).argmax()), ()
+        flat, lead = int(peak.argmax()), ()
     s = _unwrap_rows(ang)
     if dim == 1:
         anchor = lead + (flat,)
@@ -181,6 +187,6 @@ def modulus_phase(psi: np.ndarray, policy: RegularizationPolicy = DEFAULT_POLICY
     rho = modulus ** 2
     eps = policy.floor(rho)
     valid = rho > eps
-    phase = unwrap_phase(psi, valid=valid)
+    phase = unwrap_phase(psi, valid=valid, anchor_by=modulus)
     return PhasePair(modulus=modulus, phase=phase,
                      regularized_fraction=float(np.mean(~valid)))

@@ -23,6 +23,11 @@ They act on the last ``grid.dimension`` axes, so a stack of fields is one call:
   with psi, because one transform of the stack is cheaper than a separate
   half-spectrum pass for rho; only its current goes through the half
   spectrum.
+
+The inverse transforms take ``norm="forward"`` for spectra whose multipliers
+already carry the factor 1/n per axis (the plan of
+:func:`nlgauge.dynamics.rhs` folds it in); for a power-of-two n this gives
+the same bits as the scaled transform.
 """
 
 from dataclasses import dataclass
@@ -145,11 +150,12 @@ def fft_stack(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.fft(a, out=a)
 
 
-def ifft_stack(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of :func:`fft_stack`, in place; returns ``a``."""
+def ifft_stack(a: np.ndarray, grid: GridSpec, norm: str | None = None) -> np.ndarray:
+    """Inverse of :func:`fft_stack`, in place; returns ``a``. ``norm`` as in
+    ``numpy.fft``: "forward" leaves out the factor 1/n per axis."""
     if grid.dimension == 2:
-        np.fft.ifft(a, axis=-2, out=a)
-    return np.fft.ifft(a, out=a)
+        np.fft.ifft(a, axis=-2, norm=norm, out=a)
+    return np.fft.ifft(a, norm=norm, out=a)
 
 
 def rfft_field(f: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -160,11 +166,12 @@ def rfft_field(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return f_k
 
 
-def irfft_field(f_k: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real inverse of :func:`rfft_field`; overwrites ``f_k`` in 2D."""
+def irfft_field(f_k: np.ndarray, grid: GridSpec, norm: str | None = None) -> np.ndarray:
+    """Real inverse of :func:`rfft_field`; overwrites ``f_k`` in 2D. ``norm``
+    as in :func:`ifft_stack`."""
     if grid.dimension == 2:
-        np.fft.ifft(f_k, axis=-2, out=f_k)
-    return np.fft.irfft(f_k, n=grid.n)
+        np.fft.ifft(f_k, axis=-2, norm=norm, out=f_k)
+    return np.fft.irfft(f_k, n=grid.n, norm=norm)
 
 
 def _half_layout(mult: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -194,6 +194,16 @@ class TestMixedDivergence:
         series = ng.mixed_divergence(c, dec_a, dec_b, self.cfg)
         assert max(v for _, v in series) > 1e-4
 
+    @pytest.mark.parametrize("stack", [tuple, np.array])
+    def test_tuple_and_array_stacks_give_the_series_of_lists(self, grid, pair, stack):
+        # MixedState accepts any sequence of states; joining two tuples with
+        # a list raised TypeError, and two arrays were added elementwise
+        dec_a, dec_b = ng.equivalent_decompositions(*pair, np.pi / 4, grid)
+        c = NLSECoefficients(nu1=-0.5, alpha1=1.0)
+        expect = ng.mixed_divergence(c, dec_a, dec_b, self.cfg)
+        as_stack = [MixedState(d.weights, stack(d.states), grid) for d in (dec_a, dec_b)]
+        assert ng.mixed_divergence(c, *as_stack, self.cfg) == expect
+
     def test_rejects_inequivalent_decompositions(self, grid, pair):
         dec_a = MixedState(np.array([0.5, 0.5]), list(pair), grid)
         other = ng.states.two_gaussian_pair(grid, separation=12.0, width=1.0)

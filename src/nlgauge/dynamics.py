@@ -44,13 +44,11 @@ where 1/N is the factor that the inverse transforms then leave out (numpy's
 ``norm="forward"``; the same bits when n is a power of two). The plan holds
 no array of the grid's size, for one member or a batch: the lap rho row
 takes the grid's own lap, since a (nu2 - i mu2) lap multiplier held for the
-run raised the peak resident memory of 2D runs. A
-direct call with a batch makes its own plan; one with a single member reuses
-that member's last plan. The density-floor gate is folded once into 1/rho,
-and the rows that the quotients read are scaled by it in place. The other
-terms are summed into one real field m, and the result is
-h = K psi + (-i nu1 lap psi) with the single complex multiplier
-K = (nu2 - i mu2) R2 - i m.
+run raised the peak resident memory of 2D runs. A direct call makes its own
+plan. The density-floor gate is folded once into 1/rho, and the rows that the
+quotients read are scaled by it in place. The other terms are summed into
+one real field m, and the result is h = K psi + (-i nu1 lap psi) with the
+single complex multiplier K = (nu2 - i mu2) R2 - i m.
 
 :func:`rhs` is the package's only implementation of the quotients. Its
 oracles live in the tests: closed forms of every term on psi = exp(u + iS)
@@ -79,7 +77,7 @@ oracle for linearizability experiments.
 
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -183,17 +181,10 @@ class _Plan:
         self.scaled = slice(1 + grid.dimension * only_div, len(self.rows))
 
 
-# Direct calls with one member (an NLSECoefficients is hashable) reuse its
-# last plan: building one costs 4-10 us in 1D, a tenth of a linear rhs call.
-# A batch gets a new plan per call; evolve makes its own.
-_member_plan = lru_cache(maxsize=1)(_Plan)
-
-
 def _plan_of(c, grid: GridSpec) -> _Plan:
-    """``c`` itself when it is a plan, else the plan of ``c`` on ``grid``."""
-    if isinstance(c, _Plan):
-        return c
-    return _member_plan(c, grid) if isinstance(c, NLSECoefficients) else _Plan(c, grid)
+    """``c`` itself when it is a plan (:func:`evolve`'s), else a new plan of
+    the member or batch ``c`` on ``grid``, which lives as long as the call."""
+    return c if isinstance(c, _Plan) else _Plan(c, grid)
 
 
 @dataclass(frozen=True)
@@ -211,8 +202,8 @@ class SimulationConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0 < self.t_final < np.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if not (isinstance(self.output_every, (int, np.integer))
-                and self.output_every >= 1):
+        if (isinstance(self.output_every, bool) or not isinstance(
+                self.output_every, (int, np.integer)) or self.output_every < 1):
             raise ValueError(f"output_every must be an integer >= 1, "
                              f"got {self.output_every!r}")
         # the run ends at t_final exactly, so it must be a whole number of steps

@@ -264,11 +264,11 @@ class TestEvolve:
         with pytest.raises(ValueError, match="positive and finite"):
             SimulationConfig(dt=dt, t_final=t_final)
 
-    @pytest.mark.parametrize("output_every", [2.5, np.nan, np.inf])
+    @pytest.mark.parametrize("output_every", [2.5, np.nan, np.inf, True])
     def test_config_refuses_a_non_integer_output_every(self, output_every):
         # 2.5 used to be accepted and wrote every 5th step; nan and inf
-        # passed the >= 1 check
-        with pytest.raises(ValueError, match="output_every"):
+        # passed the >= 1 check; True, an int to isinstance, passed as 1
+        with pytest.raises(ValueError, match="output_every must be an integer >= 1"):
             SimulationConfig(dt=1e-3, t_final=1.0, output_every=output_every)
 
     @pytest.mark.parametrize("t_final", [0.0105, 1e-9])

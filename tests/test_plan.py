@@ -4,11 +4,13 @@ that the benchmark tracer relies on.
 ``evolve`` folds the coefficients into the spectral multipliers once and
 hands that plan to every ``step_rk4`` and ``rhs`` call. These tests pin that
 a plan gives the bits that a call with the coefficients gives, that a plan is
-refused on another grid, and that ``step_rk4`` sums its stages in the
-classical order. The tracer wraps ``rhs``, ``step_rk4`` and ``unwrap_phase``
-by replacing every module attribute that holds them, so they must be called
-through the module globals and held by no module-level container."""
+refused on another grid, that a direct call keeps no plan after it returns,
+and that ``step_rk4`` sums its stages in the classical order. The tracer
+wraps ``rhs``, ``step_rk4`` and ``unwrap_phase`` by replacing every module
+attribute that holds them, so they must be called through the module globals
+and held by no module-level container."""
 
+import gc
 import sys
 
 import numpy as np
@@ -84,8 +86,21 @@ class TestPlan:
         twin = ng.make_grid(grid.dimension, grid.n, grid.length)
         assert np.array_equal(ng.rhs(plan, psi, twin), ng.rhs(FULL, psi, grid))
 
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_direct_calls_keep_no_plan(self, dimension):
+        # a direct call's plan lives only as long as the call
+        grid = ng.make_grid(dimension, 16, 7.0)  # a grid no other test makes
+        psi, stack = trig_packet(grid), states(grid, len(MEMBERS))
+        for c, p in ((FULL, psi), (MEMBERS, stack)):
+            ng.rhs(c, p, grid)
+            ng.step_rk4(c, p, grid, 1e-3)
+        gc.collect()
+        alive = [o for o in gc.get_objects()
+                 if isinstance(o, dynamics._Plan) and o.grid == grid]
+        assert alive == []
+
     def test_direct_calls_on_two_grids_in_turn(self, grid):
-        # a member's direct calls reuse its last plan only on the same grid
+        # each direct call gives the bits of the plan of its own grid
         other = ng.make_grid(grid.dimension, grid.n, 2 * grid.length)
         psi, moved = trig_packet(grid), trig_packet(other)
         for g, p in ((grid, psi), (other, moved), (grid, psi)):

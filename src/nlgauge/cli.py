@@ -26,16 +26,22 @@ its first draw: a run that draws nothing never imports ``numpy.random``.
 ``frames.csv`` is written frame by frame as ``evolve`` produces the frames,
 so memory does not grow with their number. It goes out in blocks of
 ``FRAME_BLOCK_ROWS`` rows, each one byte matrix whose numbers are formatted by
-numpy (``_fmt17``). Its bytes are pinned by a test against a naive per-value
-writer, not only by rerun determinism.
+numpy (``_fmt17``). When the process may run on more than one CPU, a frame of
+more than one block is written on a writer thread while the next steps run,
+one frame behind the integrator. Its bytes are pinned by a test against a
+naive per-value writer, not only by rerun determinism, and do not depend on
+the thread.
 """
 
 import argparse
 import json
+import os
 import sys
+import threading
 from contextlib import AbstractContextManager, suppress
 from functools import cached_property
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -380,22 +386,46 @@ def write_series_csv(fh, header, rows) -> None:
 
 
 # Rows of frames.csv in one byte matrix. A block rather than a whole frame
-# bounds the temporaries of one write by the block size (about 2.8 MB), not the
-# grid size, so writing does not raise the peak memory the evolution set (an
-# RK4 step at 128^2 peaks near 4.1 MB). Each block also carries about 0.3 ms
-# of fixed formatter overhead, so fewer, larger blocks write faster.
+# bounds the temporaries of one write by the block size (about 2.7 MB,
+# tracemalloc), not the grid size. An RK4 step at 128^2 peaks near 3.6 MB; a
+# frame written on the writer thread overlaps the next steps, so the two peaks
+# add. Each block also carries about 0.3 ms of fixed formatter overhead, so
+# fewer, larger blocks write faster.
 FRAME_BLOCK_ROWS = 4096
 
 
-class _FramesWriter:
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+class _FramesWriter(AbstractContextManager):
     """``frames.csv`` written frame by frame: ``write(t, frame)`` appends one
-    row per grid point, row-major in 2D, as the frame arrives.
+    row per grid point, row-major in 2D.
 
     Each block of rows is one uint8 matrix in which a 0 byte means "no
     character": t, the coordinates (formatted once per run, like the
     header), then re, im and rho from ``_fmt17.text``, whose free last byte
     of each cell takes the comma or the newline. Deleting the 0 bytes gives
     the text of a per-value ``"%.17g"`` writer.
+
+    A frame of more than one block is formatted and written by a writer
+    thread while the caller computes the next frame; ``write`` first waits
+    for the frame before, so at most one frame is in flight and the frames
+    go out in order. The frame is not copied: :func:`evolve` never writes
+    into a frame it has handed on. A frame of at most one block, or any
+    frame in a process that may run on one CPU only, is written inline,
+    since there the thread costs more than it overlaps. An error of the
+    writing is raised in the caller by the next ``write`` or when the
+    ``with`` block ends; an error that ends the block is not replaced by it.
+
+    The thread starts at the first such frame and ends with the block: one
+    thread per run, not per frame, since a thread started while the one
+    before is still exiting gets a malloc arena of its own, which keeps the
+    memory of one more frame's text.
 
     The file ``name`` is opened in ``stage`` at the first frame, so an
     evolution that fails before its first frame makes no directory.
@@ -406,17 +436,62 @@ class _FramesWriter:
         # one row of ASCII bytes per axis coordinate, padded with 0 bytes
         coord = np.array([_fmt(v).encode() for v in grid.axis_coordinate()], dtype=bytes)
         self.coord = coord.view(np.uint8).reshape(grid.n, -1)
+        self.threaded = grid.npoints > FRAME_BLOCK_ROWS and _cpus() > 1
+        self.thread, self.pending = None, False
+        self.todo, self.done = SimpleQueue(), SimpleQueue()
 
     def __call__(self, t, frame):
+        self._finish()
+        if self.fh is None:
+            self.fh = self.stage.open(self.name, "wb")
+            header = ",".join(["t", *"xy"[:self.grid.dimension], "re", "im", "rho"]) + "\n"
+            self.fh.write(header.encode())
+        if not self.threaded:
+            return self._write(t, frame)
+        if self.thread is None:
+            self.thread = threading.Thread(target=self._writer, name="nlgauge-frames")
+            self.thread.start()
+        self.todo.put((t, frame))
+        self.pending = True
+
+    def _writer(self):
+        """The writer thread: writes each frame put on ``todo`` and puts its
+        error, or None, on ``done``, until it gets None."""
+        for job in iter(self.todo.get, None):
+            error = None
+            try:
+                self._write(*job)
+            except BaseException as err:  # raised in the caller by _finish
+                error = err
+            # a frame kept while the next one is computed raises the peak memory
+            del job
+            self.done.put(error)
+
+    def _finish(self):
+        """Wait for the frame in flight and raise the error its writing met."""
+        if self.pending:
+            self.pending = False
+            error = self.done.get()
+            if error is not None:
+                raise error
+
+    def __exit__(self, error, *_):
+        try:
+            self._finish()
+        except BaseException:
+            if error is None:
+                raise
+        finally:
+            if self.thread is not None:
+                self.todo.put(None)
+                self.thread.join()
+
+    def _write(self, t, frame):
         # imported on first use: a process that writes no frames does not
         # compile the formatter, which costs it about 0.7 MB of resident memory
         from . import _fmt17
 
         grid, coord = self.grid, self.coord
-        if self.fh is None:
-            self.fh = self.stage.open(self.name, "wb")
-            header = ",".join(["t", *"xy"[:grid.dimension], "re", "im", "rho"]) + "\n"
-            self.fh.write(header.encode())
         width = coord.shape[1] + 1
         head = np.frombuffer((_fmt(t) + ",").encode(), np.uint8)
         flat = frame.reshape(-1)
@@ -444,8 +519,8 @@ def write_frames_csv(path: Path, traj: Trajectory) -> None:
     own; the file at ``path`` is complete when this returns."""
     traj.final()  # refuses a trajectory whose frames were streamed
     path = Path(path)
-    with _Stage(path.parent) as stage:
-        write = _FramesWriter(stage, path.name, traj.grid)
+    with _Stage(path.parent) as stage, \
+            _FramesWriter(stage, path.name, traj.grid) as write:
         for t, frame in zip(traj.times, traj.frames):
             write(t, frame)
 
@@ -456,8 +531,10 @@ def write_frames_csv(path: Path, traj: Trajectory) -> None:
 # returns (series, diagnostics); series is (header, rows) or None.
 
 def _run_evolve(cfg, build, stage):
-    traj = evolve(build("coefficients"), build("initial_state"), build.grid, build.sim,
-                  build("potential"), on_frame=_FramesWriter(stage, "frames.csv", build.grid))
+    # the writer's last frame is written before the stage commits or discards
+    with _FramesWriter(stage, "frames.csv", build.grid) as write:
+        traj = evolve(build("coefficients"), build("initial_state"), build.grid,
+                      build.sim, build("potential"), on_frame=write)
     return None, {
         "norm_drift": traj.norm_drift,
         "regularized_fraction": float(traj.regularized_fractions.max()),

@@ -187,6 +187,12 @@ def _plan_of(c, grid: GridSpec) -> _Plan:
     return c if isinstance(c, _Plan) else _Plan(c, grid)
 
 
+def _is_count(value) -> bool:
+    """An integer >= 1; a bool, an int to ``isinstance``, is not one."""
+    return (not isinstance(value, bool) and isinstance(value, (int, np.integer))
+            and value >= 1)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Time stepping and output cadence."""
@@ -202,8 +208,7 @@ class SimulationConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0 < self.t_final < np.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if (isinstance(self.output_every, bool) or not isinstance(
-                self.output_every, (int, np.integer)) or self.output_every < 1):
+        if not _is_count(self.output_every):
             raise ValueError(f"output_every must be an integer >= 1, "
                              f"got {self.output_every!r}")
         # the run ends at t_final exactly, so it must be a whole number of steps
@@ -216,6 +221,10 @@ class SimulationConfig:
         return int(round(self.t_final / self.dt))
 
     def refined(self, factor: int = 2) -> "SimulationConfig":
+        """The same run with dt divided by ``factor``, an integer >= 1, and
+        the same output times."""
+        if not _is_count(factor):
+            raise ValueError(f"refinement factor must be an integer >= 1, got {factor!r}")
         return replace(self, dt=self.dt / factor,
                        output_every=self.output_every * factor)
 
@@ -481,10 +490,11 @@ def evolve(c, psi0: np.ndarray, grid: GridSpec, config: SimulationConfig,
     ``on_frame(t, state)``, if given, receives each output frame as soon as
     it is computed and has passed the non-finite and norm-drift checks: t=0
     first, ``state`` of the shape of ``psi0`` (the whole stack in a batch).
-    The state is not copied, and no later step writes into it. The frames
-    are then not kept: the trajectories hold times, norms and regularized
-    fractions with an empty ``frames`` list, so memory does not grow with
-    the number of frames.
+    The state is not copied, and no later step writes into it, so it may
+    still be read after ``on_frame`` returns, while the next steps run. The
+    frames are then not kept: the trajectories hold times, norms and
+    regularized fractions with an empty ``frames`` list, so memory does not
+    grow with the number of frames.
     """
     batch = not isinstance(c, NLSECoefficients)
     members = list(c) if batch else [c]

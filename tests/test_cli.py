@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlgauge import cli, dynamics, states
+from nlgauge import _fmt17, cli, dynamics, states
 from nlgauge.dynamics import Trajectory
 from nlgauge.functionals import density
 from nlgauge.grid import l2_norm, make_grid
@@ -535,6 +537,159 @@ class TestStreamedFrames:
         with pytest.raises(EvolveEntered):
             cli.run(write_config(tmp_path, cfg), out_dir)
         assert not out_dir.exists()
+
+
+def cpus(monkeypatch, n):
+    """Make the CLI see ``n`` CPUs that the process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def run_joined(cfg_path, out_dir):
+    """``cli.run``, whose threads must have ended when its stage commits or
+    discards, and so when it returns."""
+    before, count = set(threading.enumerate()), threading.active_count()
+    real, at_stage_end = cli._Stage.__exit__, []
+
+    def stage_exit(self, *args):
+        at_stage_end.append(set(threading.enumerate()) - before)
+        return real(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli._Stage, "__exit__", stage_exit)
+        code = cli.run(cfg_path, out_dir)
+    assert at_stage_end == [set()]
+    assert threading.active_count() == count
+    return code
+
+
+def on_text(monkeypatch, hook):
+    """Call ``hook(thread, n)`` before call ``n`` (from 0) of ``_fmt17.text``,
+    which formats one block of frames.csv."""
+    real, calls = _fmt17.text, []
+
+    def text(values):
+        calls.append(1)
+        hook(threading.current_thread(), len(calls) - 1)
+        return real(values)
+
+    monkeypatch.setattr(_fmt17, "text", text)
+
+
+class TestFramesWriterThread:
+    """A frame of more than one block is written on the writer thread while
+    the next steps run, unless the process may run on one CPU only."""
+
+    # 72^2 points: two blocks per frame
+    BLOCKS = 2
+
+    @pytest.fixture
+    def cfg_path(self, tmp_path):
+        assert cli.FRAME_BLOCK_ROWS < 72 * 72 <= self.BLOCKS * cli.FRAME_BLOCK_ROWS
+        return write_config(tmp_path, evolve_2d_config(72, frames=4))
+
+    def test_threaded_and_inline_give_the_same_bytes(self, tmp_path, monkeypatch,
+                                                     cfg_path):
+        threads = []
+        on_text(monkeypatch, lambda thread, n: threads.append(thread))
+        cpus(monkeypatch, 2)
+        assert run_joined(cfg_path, tmp_path / "threaded") == 0
+        assert len(threads) == 4 * self.BLOCKS
+        assert threading.main_thread() not in threads
+        threads.clear()
+        cpus(monkeypatch, 1)
+        assert run_joined(cfg_path, tmp_path / "inline") == 0
+        assert threads == [threading.main_thread()] * 4 * self.BLOCKS
+        assert tree(tmp_path / "threaded") == tree(tmp_path / "inline")
+
+    @pytest.mark.parametrize("frame", [3, 4], ids=["frame3", "last"])
+    def test_writer_error_is_one_config_error_line(self, tmp_path, monkeypatch,
+                                                   capsys, cfg_path, frame):
+        # the error of the last frame is met only when the writer is joined
+        out_dir = tmp_path / "out"
+        assert cli.run(cfg_path, out_dir) == 0
+        before = tree(tmp_path)
+        capsys.readouterr()
+        raised_on = []
+
+        def full_disk(thread, n):
+            if n == (frame - 1) * self.BLOCKS:
+                raised_on.append(thread)
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        on_text(monkeypatch, full_disk)
+        cpus(monkeypatch, 2)
+        assert run_joined(cfg_path, out_dir) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "CONFIG_ERROR: [Errno 28] No space left on device"]
+        assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("writer_fails", [False, True], ids=["", "writer-fails"])
+    def test_failed_step_with_a_frame_in_flight_leaves_nothing(
+            self, tmp_path, monkeypatch, capsys, cfg_path, writer_fails):
+        # the writer of frame 2 waits at its first block until step 3 has
+        # failed; an error it then meets does not replace the step's
+        entered, release, in_flight = threading.Event(), threading.Event(), []
+
+        def hold(thread, n):
+            if n == 2 * self.BLOCKS and thread is not threading.main_thread():
+                entered.set()
+                release.wait(timeout=5)
+                if writer_fails:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        real, calls = dynamics.step_rk4, []
+
+        def stepper(c, psi, *args):
+            calls.append(1)
+            if len(calls) < 3:
+                return real(c, psi, *args)
+            in_flight.append(entered.wait(timeout=5) and not release.is_set())
+            release.set()
+            return np.full_like(psi, np.nan)
+
+        on_text(monkeypatch, hold)
+        monkeypatch.setattr(dynamics, "step_rk4", stepper)
+        cpus(monkeypatch, 2)
+        out_dir = tmp_path / "new" / "out"
+        assert run_joined(cfg_path, out_dir) == 3
+        assert capsys.readouterr().out.startswith("NUMERICAL_FAILURE: ")
+        assert in_flight == [True]
+        assert not (tmp_path / "new").exists()
+
+    def test_at_most_one_frame_in_flight(self, tmp_path, monkeypatch):
+        # a frame is in flight from its hand-over until its text is written;
+        # writing is made slower than the steps, so that a writer that let
+        # frames queue up would show more than one
+        lock, flight = threading.Lock(), {"now": 0, "max": 0, "frames": 0}
+        real_call, real_write = cli._FramesWriter.__call__, cli._FramesWriter._write
+
+        def call(self, t, frame):
+            with lock:
+                flight["now"] += 1
+            real_call(self, t, frame)
+            with lock:
+                flight["max"] = max(flight["max"], flight["now"])
+
+        def write(self, t, frame):
+            time.sleep(0.02)
+            real_write(self, t, frame)
+            with lock:
+                flight["now"] -= 1
+                flight["frames"] += 1
+
+        monkeypatch.setattr(cli._FramesWriter, "__call__", call)
+        monkeypatch.setattr(cli._FramesWriter, "_write", write)
+        cpus(monkeypatch, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cfg_path = write_config(tmp_path, evolve_2d_config(72, frames=12))
+            assert run_joined(cfg_path, tmp_path / "out") == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert flight == {"now": 0, "max": 1, "frames": 12}
 
 
 class TestGaugeCheck:

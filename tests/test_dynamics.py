@@ -271,6 +271,14 @@ class TestEvolve:
         with pytest.raises(ValueError, match="output_every must be an integer >= 1"):
             SimulationConfig(dt=1e-3, t_final=1.0, output_every=output_every)
 
+    @pytest.mark.parametrize("factor", [0, -2, 1.5, 2.0, True, np.nan])
+    def test_refined_refuses_a_factor_that_is_not_an_integer(self, factor):
+        # 0 raised ZeroDivisionError, True passed as 1, and 1.5 failed with a
+        # message about output_every
+        cfg = SimulationConfig(dt=1e-3, t_final=1.0, output_every=2)
+        with pytest.raises(ValueError, match="refinement factor must be an integer >= 1"):
+            cfg.refined(factor)
+
     @pytest.mark.parametrize("t_final", [0.0105, 1e-9])
     def test_config_refuses_a_fractional_step_count(self, t_final):
         # 0.0105 used to end silently at t = 0.010, and 1e-9 ran one full
@@ -409,3 +417,5 @@ def test_simulation_config_validation():
     cfg = SimulationConfig(dt=0.1, t_final=1.0)
     fine = cfg.refined()
     assert fine.dt == 0.05 and fine.output_every == 2
+    assert cfg.refined(1) == cfg
+    assert cfg.refined(np.int64(4)).output_every == 4

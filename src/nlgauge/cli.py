@@ -387,11 +387,14 @@ def write_series_csv(fh, header, rows) -> None:
 
 # Rows of frames.csv in one byte matrix. A block rather than a whole frame
 # bounds the temporaries of one write by the block size (about 2.7 MB,
-# tracemalloc), not the grid size. An RK4 step at 128^2 peaks near 3.6 MB; a
-# frame written on the writer thread overlaps the next steps, so the two peaks
-# add. Each block also carries about 0.3 ms of fixed formatter overhead, so
-# fewer, larger blocks write faster.
+# tracemalloc), not the grid size. Each block also carries about 0.3 ms of
+# fixed formatter overhead, so fewer, larger blocks write faster.
 FRAME_BLOCK_ROWS = 4096
+# Rows of one block on the writer thread. Its writes overlap the next steps
+# (an RK4 step at 128^2 peaks near 3.6 MB), so the two peaks add. 3072 rows
+# peak at about 2.0 MB, against 2.7 MB for 4096, and take about 0.8 MB off
+# the peak resident memory of a 128^2 run.
+WRITER_BLOCK_ROWS = 3072
 
 
 def _cpus() -> int:
@@ -413,14 +416,15 @@ class _FramesWriter(AbstractContextManager):
     the text of a per-value ``"%.17g"`` writer.
 
     A frame of more than one block is formatted and written by a writer
-    thread while the caller computes the next frame; ``write`` first waits
-    for the frame before, so at most one frame is in flight and the frames
-    go out in order. The frame is not copied: :func:`evolve` never writes
-    into a frame it has handed on. A frame of at most one block, or any
-    frame in a process that may run on one CPU only, is written inline,
-    since there the thread costs more than it overlaps. An error of the
-    writing is raised in the caller by the next ``write`` or when the
-    ``with`` block ends; an error that ends the block is not replaced by it.
+    thread, in blocks of ``WRITER_BLOCK_ROWS`` rows, while the caller
+    computes the next frame; ``write`` first waits for the frame before, so
+    at most one frame is in flight and the frames go out in order. The frame
+    is not copied: :func:`evolve` never writes into a frame it has handed
+    on. A frame of at most one block, or any frame in a process that may run
+    on one CPU only, is written inline: on one CPU the thread overlaps
+    nothing and costs time and memory. An error of the writing is raised in
+    the caller by the next ``write`` or when the ``with`` block ends; an
+    error that ends the block is not replaced by it.
 
     The thread starts at the first such frame and ends with the block: one
     thread per run, not per frame, since a thread started while the one
@@ -437,6 +441,7 @@ class _FramesWriter(AbstractContextManager):
         coord = np.array([_fmt(v).encode() for v in grid.axis_coordinate()], dtype=bytes)
         self.coord = coord.view(np.uint8).reshape(grid.n, -1)
         self.threaded = grid.npoints > FRAME_BLOCK_ROWS and _cpus() > 1
+        self.rows = WRITER_BLOCK_ROWS if self.threaded else FRAME_BLOCK_ROWS
         self.thread, self.pending = None, False
         self.todo, self.done = SimpleQueue(), SimpleQueue()
 
@@ -495,8 +500,8 @@ class _FramesWriter(AbstractContextManager):
         width = coord.shape[1] + 1
         head = np.frombuffer((_fmt(t) + ",").encode(), np.uint8)
         flat = frame.reshape(-1)
-        for start in range(0, grid.npoints, FRAME_BLOCK_ROWS):
-            part = flat[start:start + FRAME_BLOCK_ROWS]
+        for start in range(0, grid.npoints, self.rows):
+            part = flat[start:start + self.rows]
             m = np.empty((part.size, head.size + grid.dimension * width
                           + 3 * _fmt17.WIDTH), np.uint8)
             m[:, :head.size] = head

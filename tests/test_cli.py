@@ -565,28 +565,42 @@ def run_joined(cfg_path, out_dir):
 
 def on_text(monkeypatch, hook):
     """Call ``hook(thread, n)`` before call ``n`` (from 0) of ``_fmt17.text``,
-    which formats one block of frames.csv."""
-    real, calls = _fmt17.text, []
+    which formats one block of frames.csv; the list returned gets the rows of
+    each block."""
+    real, rows = _fmt17.text, []
 
     def text(values):
-        calls.append(1)
-        hook(threading.current_thread(), len(calls) - 1)
+        rows.append(len(values))
+        hook(threading.current_thread(), len(rows) - 1)
         return real(values)
 
     monkeypatch.setattr(_fmt17, "text", text)
+    return rows
 
 
 class TestFramesWriterThread:
     """A frame of more than one block is written on the writer thread while
     the next steps run, unless the process may run on one CPU only."""
 
-    # 72^2 points: two blocks per frame
+    # 72^2 points: two blocks per frame, threaded or inline, the last one partial
     BLOCKS = 2
 
     @pytest.fixture
     def cfg_path(self, tmp_path):
-        assert cli.FRAME_BLOCK_ROWS < 72 * 72 <= self.BLOCKS * cli.FRAME_BLOCK_ROWS
+        for rows in (cli.WRITER_BLOCK_ROWS, cli.FRAME_BLOCK_ROWS):
+            assert (self.BLOCKS - 1) * rows < 72 * 72 < self.BLOCKS * rows
         return write_config(tmp_path, evolve_2d_config(72, frames=4))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_threaded_matches_reference(self, tmp_path, monkeypatch):
+        traj = awkward_trajectory(2, 72, seed=2)
+        threads = []
+        rows = on_text(monkeypatch, lambda thread, n: threads.append(thread))
+        cpus(monkeypatch, 2)
+        cli.write_frames_csv(tmp_path / "frames.csv", traj)
+        assert rows == [cli.WRITER_BLOCK_ROWS, 72 * 72 - cli.WRITER_BLOCK_ROWS] * 3
+        assert threading.main_thread() not in threads
+        assert (tmp_path / "frames.csv").read_bytes() == reference_frames_csv(traj)
 
     def test_threaded_and_inline_give_the_same_bytes(self, tmp_path, monkeypatch,
                                                      cfg_path):

@@ -5,11 +5,13 @@
 
 Digits. For |v| with decimal exponent e = floor(log10 |v|), the 17 digits are
 the integer nearest to |v| * 10**(16 - e). The power is stored as a
-double-double hi + lo, accurate to about 1e-30 relative, and |v| * hi is taken
-exactly as p + err with Dekker's split product (no FMA, no extended
-precision). p is an integer at this scale, so floor(p) plus the floor of the
-small remainder (p - floor(p)) + err + |v| * lo gives the integer part n, and
-the remainder r comes out within about 1e-13 of the exact fraction. An n
+double-double hi + lo, made from exact integers: hi is the power rounded to
+nearest and lo the remainder rounded to nearest, so hi + lo is within 2**-106
+(about 1.2e-32) relative of it. |v| * hi is taken exactly as p + err with
+Dekker's split product (no FMA, no extended precision). p is an integer at
+this scale, so floor(p) plus the floor of the small remainder
+(p - floor(p)) + err + |v| * lo gives the integer part n, and the remainder r
+comes out within about 1e-13 of the exact fraction. An n
 outside [10**16, 10**17) means the logarithm rounded across a power of ten: e
 moves by one and n is computed again. n rounds up where r > 1/2, and a carry
 to 10**17 moves e up by one.
@@ -76,30 +78,24 @@ def _product(a, b_hi, b_lo):
 def _tables():
     """Read-only tables, built on first use: per exponent (index e - EMIN) the
     double-double power 10**(16 - e), the point slot, and the prefix and
-    exponent bytes; and the variants of the ASCII digit pairs."""
+    exponent bytes; and the variants of the ASCII digit pairs. The power is
+    taken from exact integers, as hi = 10**(16 - e) and lo = 10**(16 - e) - hi,
+    each rounded to nearest by Python's int / int."""
     # float exponents: numpy's int64 comparisons would be one more loop in memory
     e = np.arange(EMIN, EMAX + 2.0)
-    p = np.abs(16 - e)
-    # 10**p or 0.1**p as a double-double, by binary powering
-    hi, lo = np.ones(e.size), np.zeros(e.size)
-    b_hi = np.where(e <= 16, 10.0, 0.1)
-    b_lo = np.where(e <= 16, 0.0, -0.2 * 2.0 ** -55)   # 1/10 - fl(0.1)
-    for bit in range(int(p.max()).bit_length()):
-        if bit:  # the base to the power 2**bit
-            h, l = _product(b_hi, *_split(b_hi))
-            l += 2.0 * b_hi * b_lo
-            b_hi, b_lo = h + l, l - ((h + l) - h)
-        use = p % 2 ** (bit + 1) >= 2 ** bit
-        h, l = _product(hi[use], *_split(b_hi[use]))
-        l += hi[use] * b_lo[use] + lo[use] * b_hi[use]
-        hi[use], lo[use] = h + l, l - ((h + l) - h)
+    exponents = range(EMIN, EMAX + 2)
+    hi, lo = np.empty(e.size), np.empty(e.size)
+    for i, k in enumerate(exponents):
+        num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+        h = hi[i] = num / den
+        a, b = h.as_integer_ratio()
+        lo[i] = (num * b - a * den) / (den * b)
     fixed = (e >= -4) & (e < 17)
     prefix = (e < 0) & fixed
     # the point slot: after the first digit, after e + 1 digits, or (prefix) at the end
     slot = np.where(fixed, np.where(prefix, 17, e + 1), 1)
     # bytes per exponent: no sign, "0." and up to three zeros, no digits, and
     # the exponent as Python writes it
-    exponents = range(EMIN, EMAX + 2)
     prefixes = [b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in exponents]
     suffixes = [b"" if -4 <= k < 17 else b"e%+03d" % k for k in exponents]
     affix = np.zeros((e.size, WIDTH), np.uint8)

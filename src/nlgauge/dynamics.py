@@ -45,10 +45,12 @@ where 1/N is the factor that the inverse transforms then leave out (numpy's
 no array of the grid's size, for one member or a batch: the lap rho row
 takes the grid's own lap, since a (nu2 - i mu2) lap multiplier held for the
 run raised the peak resident memory of 2D runs. A direct call makes its own
-plan. The density-floor gate is folded once into 1/rho, and the rows that the
-quotients read are scaled by it in place. The other terms are summed into
-one real field m, and the result is h = K psi + (-i nu1 lap psi) with the
-single complex multiplier K = (nu2 - i mu2) R2 - i m.
+plan. The density-floor gate is folded once into 1/rho, and every derivative
+row but -i nu1 lap psi is scaled by it in place, after the transform of J
+(with mu3 = mu4 = 0 the current rows are then scaled but not read). The
+other terms are summed into one real field m, and the result is
+h = K psi + (-i nu1 lap psi) with the single complex multiplier
+K = (nu2 - i mu2) R2 - i m.
 
 :func:`rhs` is the package's only implementation of the quotients. Its
 oracles live in the tests: closed forms of every term on psi = exp(u + iS)
@@ -175,10 +177,8 @@ class _Plan:
             self.rows += [(1, k / grid.npoints) for k in grid.ik]
         if on.mu1:
             self.div = [(self.mu1 / grid.npoints) * k for k in grid.ik_half]
-        # the rows scaled by 1/rho: all but -i nu1 lap psi, less the current
-        # rows when only div J reads them (before the scaling)
-        only_div = self.current and not (on.mu3 or on.mu4)
-        self.scaled = slice(1 + grid.dimension * only_div, len(self.rows))
+        # rhs scales every row but -i nu1 lap psi by 1/rho, after the J
+        # transform: the current rows too when only div J reads them
 
 
 def _plan_of(c, grid: GridSpec) -> _Plan:
@@ -339,10 +339,10 @@ def rhs(c, psi: np.ndarray, grid: GridSpec, V: np.ndarray | None = None,
         for a in range(1, dim):
             div_k += plan.div[a] * j_k[a]
         m = _add(m, irfft_field(div_k, grid, norm="forward") * inv_rho)
-    if plan.scaled.start < plan.scaled.stop:
+    if plan.quotients:
         # in place, after the J transform: the views read from here on hold
         # J/rho (imag), N R2 and grad rho / rho (real)
-        derivs[plan.scaled] *= inv_rho
+        derivs[1:] *= inv_rho
     if k is not None:
         k *= plan.r2_factor  # (nu2 - i mu2) R2
     if on.mu3 or on.mu4:  # J/rho . (mu3 J/rho + mu4 grad rho/rho)
@@ -522,7 +522,7 @@ def evolve_linear_exact(nu1: float, psi0: np.ndarray, grid: GridSpec,
     second-order Strang composition. No stability bound applies.
     """
     _check_inputs(psi0, V, grid)
-    kinetic = np.exp(1j * nu1 * grid.k_squared_total * config.dt)
+    kinetic = np.exp(-1j * nu1 * grid.laplacian_symbol * config.dt)
 
     def free(p):  # p is a fresh array, transformed in place
         p = fft_stack(p, grid)

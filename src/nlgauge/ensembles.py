@@ -161,7 +161,13 @@ def product_grid(grid: GridSpec) -> GridSpec:
 
 
 def marginal_density(psi2d: np.ndarray, grid2: GridSpec, axis: int = 0) -> np.ndarray:
-    """Integrate |Psi|^2 over the other axis."""
+    """Integrate |Psi|^2 over the other axis; ``axis`` (0 or 1) is the one
+    kept. ``psi2d`` must have the shape of the 2D grid ``grid2``."""
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 or 1, got {axis!r}")
+    if grid2.dimension != 2 or np.shape(psi2d) != grid2.shape:
+        raise ValueError(f"state of shape {np.shape(psi2d)} is not a field of "
+                         f"the 2D grid's shape {grid2.shape}")
     rho = np.abs(psi2d) ** 2
     return rho.sum(axis=1 - axis) * grid2.dx
 

@@ -38,7 +38,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic box: ``n`` points per axis on ``[0, length)``."""
+    """Uniform periodic box: ``n`` points per axis on ``[0, length)``.
+
+    The spectral layout is cached on first use: the wavenumbers per axis, the
+    per-axis derivative multipliers :attr:`ik` and :attr:`ik_half` in
+    broadcast shape, and one array of the grid's shape, the Laplacian symbol
+    :attr:`laplacian_symbol`.
+    """
 
     dimension: int
     n: int
@@ -89,17 +95,13 @@ class GridSpec:
         return k.reshape(shape)
 
     @cached_property
-    def k_squared_total(self) -> np.ndarray:
-        """Sum of k_i^2 over axes (the symbol of -Laplacian)."""
-        total = np.zeros(self.shape)
-        for axis in range(self.dimension):
-            total = total + self.wavenumbers(axis) ** 2
-        return total
-
-    @cached_property
     def laplacian_symbol(self) -> np.ndarray:
-        """-k_squared_total, the Fourier multiplier of the Laplacian."""
-        return -self.k_squared_total
+        """-(k_1^2 + ... + k_d^2) on the grid: the Fourier multiplier of the
+        Laplacian, and the only cached array of the grid's size."""
+        total = -self.wavenumbers(0) ** 2
+        for axis in range(1, self.dimension):
+            total = total - self.wavenumbers(axis) ** 2
+        return total
 
     @cached_property
     def ik(self) -> tuple:

@@ -43,8 +43,11 @@ def gaussian(grid: GridSpec, center=None, width=None, momentum=0.0) -> np.ndarra
 
 
 def plane_wave(grid: GridSpec, mode=1) -> np.ndarray:
-    """Normalized plane wave exp(i k.x) with k_i = 2*pi*mode_i/L."""
-    modes = np.broadcast_to(np.asarray(mode, dtype=int), (grid.dimension,))
+    """Normalized plane wave exp(i k.x) with k_i = 2*pi*mode_i/L; ``mode`` is
+    a whole number, or one per axis."""
+    modes = np.broadcast_to(np.asarray(mode), (grid.dimension,))
+    if modes.dtype == bool or not all(float(m).is_integer() for m in modes):
+        raise ValueError(f"plane-wave mode must be a whole number, got {mode!r}")
     x = grid.axis_coordinate()
     factors = [np.exp(1j * (2.0 * np.pi * m / grid.length) * x) for m in modes]
     psi = factors[0] if grid.dimension == 1 else np.multiply.outer(factors[0], factors[1])
@@ -117,8 +120,11 @@ def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
     given amplitudes; the modulus is rescaled so max|psi| = 1 and the phase is
     shifted to vanish at the modulus peak. Both choices keep the
     unwrapped phase of gauge images branch-stable, which the group-law and
-    density-invariance experiments rely on.
+    density-invariance experiments rely on. ``max_mode`` must be >= 1.
     """
+    if not max_mode >= 1:
+        raise ValueError(f"max_mode must be >= 1, got {max_mode!r}")
+
     def band_limited():
         x = grid.axis_coordinate()
         f = np.zeros(grid.shape)

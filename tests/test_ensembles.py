@@ -296,6 +296,21 @@ class TestTensorProduct:
         with pytest.raises(ValueError):
             ng.tensor_product(np.ones(8, complex), np.ones(16, complex))
 
+    def test_marginal_refuses_an_axis_other_than_0_or_1(self, grid):
+        psi = ng.tensor_product(ng.states.gaussian(grid), ng.states.gaussian(grid))
+        with pytest.raises(ValueError, match="axis"):
+            ng.marginal_density(psi, ng.product_grid(grid), axis=2)
+
+    def test_marginal_refuses_a_state_not_of_the_grid_shape(self):
+        grid2 = ng.make_grid(2, 16, 10.0)
+        psi = np.ones(grid2.shape, complex) / grid2.length
+        assert ng.marginal_density(psi, grid2).shape == (16,)
+        for state in (psi[:, :8], psi[0]):
+            with pytest.raises(ValueError, match="shape"):
+                ng.marginal_density(state, grid2)
+        with pytest.raises(ValueError, match="2D grid"):
+            ng.marginal_density(psi[0], ng.make_grid(1, 16, 10.0))
+
 
 class TestSeparability:
     def test_linear_case_factorizes(self):

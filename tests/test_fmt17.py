@@ -1,6 +1,8 @@
 """The vectorized ``%.17g`` formatter of frames.csv, value by value against
 Python's own ``b"%.17g" % v``."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,22 @@ def assert_like_python(v):
 def fast(v) -> np.ndarray:
     """True where the numpy path, not Python, wrote the value."""
     return _fmt17._digits(np.abs(np.asarray(v, dtype=np.float64)))[2]
+
+
+def nearest(x: Fraction, f: float) -> bool:
+    """True when the double f is a double nearest to the rational x."""
+    err = abs(x - Fraction(f))
+    return all(err <= abs(x - Fraction(g))
+               for g in (np.nextafter(f, -np.inf), np.nextafter(f, np.inf)))
+
+
+def test_power_table_is_the_rounded_power_and_rounded_remainder():
+    t = _fmt17._tables()
+    for i, e in enumerate(range(_fmt17.EMIN, _fmt17.EMAX + 2)):
+        power = Fraction(10) ** (16 - e)
+        hi = Fraction(t.hi[0][i]) + Fraction(t.hi[1][i])   # the split is exact
+        assert nearest(power, float(hi)), e
+        assert nearest(power - hi, t.lo[i]), e
 
 
 def test_random_bit_patterns():

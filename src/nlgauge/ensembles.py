@@ -191,7 +191,7 @@ def separability_residual(c: NLSECoefficients, psi1: np.ndarray, psi2: np.ndarra
     if V1 is not None or V2 is not None:
         vx = np.zeros(grid.n) if V1 is None else np.asarray(V1)
         vy = np.zeros(grid.n) if V2 is None else np.asarray(V2)
-        v2d = vx[:, None] + vy[None, :]
+        v2d = grid2.outer([vx, vy], np.add)
         v1d = np.stack([vx, vy])
     traj_2d = evolve(c, psi0, grid2, config, v2d)
     traj_1, traj_2 = evolve([c, c], np.stack([psi1, psi2]), grid, config, v1d)

@@ -31,7 +31,7 @@ the same bits as the scaled transform.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -39,6 +39,11 @@ import numpy as np
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic box: ``n`` points per axis on ``[0, length)``.
+
+    :meth:`along` lays a profile of ``n`` values along one axis, in broadcast
+    shape, and :meth:`outer` joins one profile per axis into a field of the
+    grid's shape, by product (a product state) or by sum (an additive
+    potential). Every per-axis construction of the package goes through them.
 
     The spectral layout is cached on first use: the wavenumbers per axis, the
     per-axis derivative multipliers :attr:`ik` and :attr:`ik_half` in
@@ -73,6 +78,21 @@ class GridSpec:
             return x
         return np.meshgrid(x, x, indexing="ij")
 
+    def along(self, axis: int, profile) -> np.ndarray:
+        """``profile`` (``n`` values) laid along ``axis``: a view of length 1
+        on every other axis, which broadcasts against the grid's fields."""
+        profile = np.asarray(profile)
+        if profile.shape != (self.n,) or not 0 <= axis < self.dimension:
+            raise ValueError(f"a profile needs {self.n} values along one of {self.dimension} "
+                             f"axes, got shape {profile.shape} along axis {axis}")
+        return profile.reshape([self.n if a == axis else 1 for a in range(self.dimension)])
+
+    def outer(self, profiles, ufunc=np.multiply) -> np.ndarray:
+        """One field of the grid's shape from one profile per axis, joined by
+        ``ufunc`` (``np.multiply`` or ``np.add``); in 1D the profile itself."""
+        return reduce(ufunc, [self.along(axis, profile) for axis, profile
+                              in zip(range(self.dimension), profiles, strict=True)])
+
     @cached_property
     def _k(self) -> np.ndarray:
         # wavenumbers k in {-n/2+1, ..., n/2} * (2*pi/length), fft layout
@@ -87,21 +107,13 @@ class GridSpec:
 
     def wavenumbers(self, axis: int = 0, zero_nyquist: bool = False) -> np.ndarray:
         """Spectral wavenumbers along ``axis``, broadcast to the grid rank."""
-        k = self._k_odd if zero_nyquist else self._k
-        if self.dimension == 1:
-            return k
-        shape = [1] * self.dimension
-        shape[axis] = self.n
-        return k.reshape(shape)
+        return self.along(axis, self._k_odd if zero_nyquist else self._k)
 
     @cached_property
     def laplacian_symbol(self) -> np.ndarray:
         """-(k_1^2 + ... + k_d^2) on the grid: the Fourier multiplier of the
         Laplacian, and the only cached array of the grid's size."""
-        total = -self.wavenumbers(0) ** 2
-        for axis in range(1, self.dimension):
-            total = total - self.wavenumbers(axis) ** 2
-        return total
+        return self.outer([-self._k ** 2] * self.dimension, np.add)
 
     @cached_property
     def ik(self) -> tuple:

@@ -4,6 +4,13 @@ All presets return numpy arrays on a given grid, L2-normalized with the grid
 measure. On the periodic box a plane-wave factor exp(i k x) is smooth only for
 k a multiple of 2*pi/L; localized packets tolerate any k because the envelope
 kills the boundary mismatch.
+
+A per-axis argument (a center, width, momentum or mode) is one finite number,
+used on every axis, or a sequence of 1 or ``grid.dimension`` finite numbers;
+any other argument (omega, a separation, an amplitude, ``max_mode``) is one
+finite number. A bool, a non-finite value or another count raises ValueError.
+A field is one profile per axis joined by :meth:`GridSpec.outer`: their
+product for a state, their sum for a potential.
 """
 
 from __future__ import annotations  # evaluating np.random.Generator imports numpy.random
@@ -11,6 +18,20 @@ from __future__ import annotations  # evaluating np.random.Generator imports num
 import numpy as np
 
 from .grid import GridSpec, l2_norm
+
+
+def _per_axis(value, count: int, name: str, whole: bool = False) -> np.ndarray:
+    """``value``, one number or a sequence of 1 or ``count``, as ``count``
+    float64 values; refuses a bool, a non-finite value, another count and, if
+    ``whole``, a fractional value."""
+    items = list(value) if np.ndim(value) else [value]
+    floats = [float(v) for v in items] * (count if len(items) == 1 else 1)
+    if (len(floats) != count or any(isinstance(v, (bool, np.bool_)) for v in items)
+            or not all(np.isfinite(f) and (f.is_integer() or not whole) for f in floats)):
+        kind = "a whole number" if whole else "a finite number"
+        raise ValueError(f"{name} must be {kind}{f' or {count} of them' if count > 1 else ''}"
+                         f", got {value!r}")
+    return np.array(floats)
 
 
 def normalized(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -23,35 +44,24 @@ def gaussian(grid: GridSpec, center=None, width=None, momentum=0.0) -> np.ndarra
     In 2D, ``center``/``width``/``momentum`` may be scalars (isotropic) or
     per-axis pairs; the state is the product of the per-axis factors.
     """
-    def per_axis(v, default):
-        if v is None:
-            v = default
-        arr = np.broadcast_to(np.asarray(v, dtype=float), (grid.dimension,))
-        return arr
-    centers = per_axis(center, grid.length / 2)
-    widths = per_axis(width, grid.length / 40)
-    moms = per_axis(momentum, 0.0)
-    if np.any(widths <= 0):
+    d = grid.dimension
+    centers = _per_axis(grid.length / 2 if center is None else center, d, "gaussian center")
+    widths = _per_axis(grid.length / 40 if width is None else width, d, "gaussian width")
+    moms = _per_axis(momentum, d, "gaussian momentum")
+    if min(widths) <= 0:
         raise ValueError("gaussian width must be positive")
     x = grid.axis_coordinate()
-    factors = []
-    for c, w, k in zip(centers, widths, moms):
-        xi = x - c
-        factors.append(np.exp(-(xi ** 2) / (4.0 * w ** 2) + 1j * k * xi))
-    psi = factors[0] if grid.dimension == 1 else np.multiply.outer(factors[0], factors[1])
-    return normalized(psi, grid)
+    return normalized(grid.outer([np.exp(-((x - c) ** 2) / (4.0 * w ** 2) + 1j * k * (x - c))
+                                  for c, w, k in zip(centers, widths, moms)]), grid)
 
 
 def plane_wave(grid: GridSpec, mode=1) -> np.ndarray:
     """Normalized plane wave exp(i k.x) with k_i = 2*pi*mode_i/L; ``mode`` is
     a whole number, or one per axis."""
-    modes = np.broadcast_to(np.asarray(mode), (grid.dimension,))
-    if modes.dtype == bool or not all(float(m).is_integer() for m in modes):
-        raise ValueError(f"plane-wave mode must be a whole number, got {mode!r}")
+    modes = _per_axis(mode, grid.dimension, "plane-wave mode", whole=True)
     x = grid.axis_coordinate()
-    factors = [np.exp(1j * (2.0 * np.pi * m / grid.length) * x) for m in modes]
-    psi = factors[0] if grid.dimension == 1 else np.multiply.outer(factors[0], factors[1])
-    return normalized(psi, grid)
+    return normalized(grid.outer([np.exp(1j * (2.0 * np.pi * m / grid.length) * x)
+                                  for m in modes]), grid)
 
 
 def two_gaussian_pair(grid: GridSpec, separation=None, width=None):
@@ -62,8 +72,9 @@ def two_gaussian_pair(grid: GridSpec, separation=None, width=None):
     """
     if grid.dimension != 1:
         raise ValueError("two_gaussian_pair is a 1D preset")
-    sep = grid.length / 4 if separation is None else float(separation)
-    w = grid.length / 32 if width is None else float(width)
+    sep, = _per_axis(grid.length / 4 if separation is None else separation, 1,
+                     "two-gaussian separation")
+    w, = _per_axis(grid.length / 32 if width is None else width, 1, "two-gaussian width")
     psi_a = gaussian(grid, center=grid.length / 2 - sep / 2, width=w)
     psi_b = gaussian(grid, center=grid.length / 2 + sep / 2, width=w)
     overlap = np.vdot(psi_a, psi_b) * grid.dx
@@ -77,14 +88,11 @@ def two_gaussian_pair(grid: GridSpec, separation=None, width=None):
 
 def harmonic_potential(grid: GridSpec, omega: float = 1.0, center=None) -> np.ndarray:
     """V = (omega^2/2) * sum_i (x_i - c_i)^2."""
-    c = np.broadcast_to(
-        np.asarray(grid.length / 2 if center is None else center, dtype=float),
-        (grid.dimension,))
+    omega, = _per_axis(omega, 1, "harmonic omega")
+    centers = _per_axis(grid.length / 2 if center is None else center, grid.dimension,
+                        "harmonic center")
     x = grid.axis_coordinate()
-    if grid.dimension == 1:
-        return 0.5 * omega ** 2 * (x - c[0]) ** 2
-    xx, yy = np.meshgrid(x - c[0], x - c[1], indexing="ij")
-    return 0.5 * omega ** 2 * (xx ** 2 + yy ** 2)
+    return 0.5 * omega ** 2 * grid.outer([(x - c) ** 2 for c in centers], np.add)
 
 
 def free_gaussian_exact(grid: GridSpec, t: float, center: float, width: float,
@@ -122,23 +130,23 @@ def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
     unwrapped phase of gauge images branch-stable, which the group-law and
     density-invariance experiments rely on. ``max_mode`` must be >= 1.
     """
-    if not max_mode >= 1:
+    modes = int(_per_axis(max_mode, 1, "max_mode", whole=True)[0])
+    if modes < 1:
         raise ValueError(f"max_mode must be >= 1, got {max_mode!r}")
+    log_amp, = _per_axis(log_amp, 1, "log_amp")
+    phase_amp, = _per_axis(phase_amp, 1, "phase_amp")
 
     def band_limited():
         x = grid.axis_coordinate()
-        f = np.zeros(grid.shape)
         two_pi_over_l = 2.0 * np.pi / grid.length
-        for axis in range(grid.dimension):
+        profiles = []
+        for _ in range(grid.dimension):
             prof = np.zeros_like(x)
-            for m in range(1, max_mode + 1):
+            for m in range(1, modes + 1):
                 a, b = rng.normal(size=2)
                 prof += a * np.cos(m * two_pi_over_l * x) + b * np.sin(m * two_pi_over_l * x)
-            prof /= max_mode ** 0.5
-            shape = [1] * grid.dimension
-            shape[axis] = grid.n
-            f = f + prof.reshape(shape)
-        return f
+            profiles.append(prof / modes ** 0.5)
+        return grid.outer(profiles, np.add)
 
     u = log_amp * band_limited()
     s = phase_amp * band_limited()

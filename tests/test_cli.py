@@ -260,6 +260,7 @@ class TestConfigErrors:
         {"grid": {"dimension": 2, "n": 16, "length": 20.0},
          "initial_state": {"preset": "two-gaussian"}},
         {"initial_state": {"preset": "gaussian", "width": 0.0}},
+        {"potential": {"type": "harmonic", "omega": 1e200}},  # omega^2 overflows
         {"run": {"dt": 1e-3, "t_final": 0.0105, "seed": 7}},  # 10.5 steps
     ])
     def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys,

@@ -35,6 +35,33 @@ class TestMakeGrid:
             ng.make_grid(dim, n, length)
 
 
+class TestPerAxis:
+    """GridSpec.along and GridSpec.outer: one profile per axis to a field."""
+
+    def test_outer_has_the_bits_of_multiply_outer_and_broadcast_sum(self, rng):
+        g = ng.make_grid(2, 16, 5.0)
+        a, b = rng.normal(size=16) + 1j * rng.normal(size=16), rng.normal(size=16)
+        assert g.outer([a, b]).tobytes() == np.multiply.outer(a, b).tobytes()
+        assert g.outer([a, b], np.add).tobytes() == (a[:, None] + b[None, :]).tobytes()
+        assert g.along(0, a).shape == (16, 1) and g.along(1, a).shape == (1, 16)
+
+    def test_1d_gives_the_profile(self, rng):
+        g, a = ng.make_grid(1, 16, 5.0), rng.normal(size=16)
+        for field in (g.along(0, a), g.outer([a]), g.outer([a], np.add)):
+            assert field.shape == (16,) and field.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("dimension,axis,length", [(1, 0, 15), (2, 1, 17),
+                                                       (2, 2, 16), (1, -1, 16)])
+    def test_along_refuses_a_wrong_length_or_axis(self, dimension, axis, length):
+        with pytest.raises(ValueError, match="profile"):
+            ng.make_grid(dimension, 16, 5.0).along(axis, np.ones(length))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_outer_refuses_a_wrong_number_of_profiles(self, count):
+        with pytest.raises(ValueError):
+            ng.make_grid(2, 16, 5.0).outer([np.ones(16)] * count)
+
+
 class TestDifferentiate:
     def test_sine_first_derivative(self):
         g = ng.make_grid(1, 64, 2.0)

@@ -41,7 +41,7 @@ import threading
 from contextlib import AbstractContextManager, suppress
 from functools import cached_property
 from pathlib import Path
-from queue import SimpleQueue
+from queue import Queue
 
 import numpy as np
 
@@ -218,16 +218,21 @@ POTENTIALS = {
 # every initial state but the two-gaussian pair, which only mixprobe and evolve take
 SINGLE_STATES = ("gaussian", "plane-wave", "random-nodeless")
 
-# Blocks an experiment may read besides grid and run: name -> (rows or preset
-# table, what a config without the block gets). None makes the block
-# required; a string names the block to copy.
+# Blocks an experiment may read besides grid and run: name -> (selector key,
+# rows, what a config without the block gets). Every row has one shape,
+# (fields, doc, builder), and the block's selector key ("preset" or "type")
+# names the row that resolves and builds it; a fixed block has no key and its
+# one row is rows[None]. A fallback of None makes the block required; a
+# string names the block to copy.
 BLOCKS = {
-    "coefficients": (COEFFICIENTS, None),
-    "gauge": (GAUGE, None),
-    "initial_state": (STATE_PRESETS, None),
-    "initial_state_y": (STATE_PRESETS, "initial_state"),
-    "potential": (POTENTIALS, {"type": "none"}),
-    "potential_y": (POTENTIALS, {"type": "none"}),
+    "coefficients": (None, {None: (COEFFICIENTS, "the family's ten coefficients",
+                                   lambda build, b: NLSECoefficients(**b))}, None),
+    "gauge": (None, {None: (GAUGE, "the gauge transform", lambda build, b: GaugeTransform(
+        b["gamma"], b["lambda"], b["theta_const"]))}, None),
+    "initial_state": ("preset", STATE_PRESETS, None),
+    "initial_state_y": ("preset", STATE_PRESETS, "initial_state"),
+    "potential": ("type", POTENTIALS, {"type": "none"}),
+    "potential_y": ("type", POTENTIALS, {"type": "none"}),
 }
 
 
@@ -253,7 +258,7 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(exp, str) or exp not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {exp!r}; expected one of {tuple(EXPERIMENTS)}")
-    _, reads, accepted = EXPERIMENTS[exp]
+    _, reads, refused = EXPERIMENTS[exp]
 
     grid = _fields(_require(raw, "grid", "config"), GRID, "grid")
     if exp in ("mixprobe", "separability") and grid["dimension"] != 1:
@@ -273,7 +278,7 @@ def resolve_config(raw: dict) -> dict:
             continue
         name, optional = name.rstrip("?"), name.endswith("?")
         root.append(name)
-        table, fallback = BLOCKS[name]
+        key, rows, fallback = BLOCKS[name]
         block = raw.get(name)
         if block is None:
             if optional:
@@ -281,15 +286,12 @@ def resolve_config(raw: dict) -> dict:
             if fallback is None:
                 raise ConfigError(f"missing '{name}' in config for {exp}")
             block = raw[fallback] if isinstance(fallback, str) else fallback
-        head, rows = {}, table
-        if isinstance(table, dict):  # a preset table: the row the block names
-            key = "preset" if table is STATE_PRESETS else "type"
-            choice = _require(block, key, f"{name} block")
-            choices = accepted if table is STATE_PRESETS else tuple(table)
-            if choice not in choices:
-                raise ConfigError(f"{name}.{key} must be one of {choices}, got {choice!r}")
-            head, rows = {key: choice}, table[choice][0]
-        out[name] = {**head, **_fields(block, rows, name, grid["length"], tuple(head))}
+        head = {key: _require(block, key, f"{name} block")} if key else {}
+        choices = tuple(choice for choice in rows if choice not in refused)
+        if head.get(key) not in choices:
+            raise ConfigError(f"{name}.{key} must be one of {choices}, got {head[key]!r}")
+        fields = rows[head.get(key)][0]
+        out[name] = {**head, **_fields(block, fields, name, grid["length"], tuple(head))}
     if exp == "equivalence" and out["gauge"]["theta_const"] != 0.0:
         raise ConfigError("equivalence requires theta_const = 0")
     _known_only(raw, tuple(root), f"config for {exp}")
@@ -318,13 +320,9 @@ class _Inputs:
         return np.random.default_rng(self.cfg["run"]["seed"])
 
     def __call__(self, name: str):
+        key, rows, _ = BLOCKS[name]
         b = self.cfg[name]
-        if name == "coefficients":
-            return NLSECoefficients(**b)
-        if name == "gauge":
-            return GaugeTransform(b["gamma"], b["lambda"], b["theta_const"])
-        table = BLOCKS[name][0]  # a preset table: the row the block names
-        return table[b["preset"] if table is STATE_PRESETS else b["type"]][2](self, b)
+        return rows[b.get(key)][2](self, b)
 
 
 # ---------------------------------------------------------------- output ----
@@ -437,13 +435,13 @@ class _FramesWriter(AbstractContextManager):
 
     def __init__(self, stage: _Stage, name: str, grid: GridSpec):
         self.stage, self.name, self.grid, self.fh = stage, name, grid, None
-        # one row of ASCII bytes per axis coordinate, padded with 0 bytes
-        coord = np.array([_fmt(v).encode() for v in grid.axis_coordinate()], dtype=bytes)
+        # one row of ASCII bytes per axis coordinate and its comma, padded with 0 bytes
+        coord = np.array([f"{_fmt(v)},".encode() for v in grid.axis_coordinate()], dtype=bytes)
         self.coord = coord.view(np.uint8).reshape(grid.n, -1)
         self.threaded = grid.npoints > FRAME_BLOCK_ROWS and _cpus() > 1
         self.rows = WRITER_BLOCK_ROWS if self.threaded else FRAME_BLOCK_ROWS
-        self.thread, self.pending = None, False
-        self.todo, self.done = SimpleQueue(), SimpleQueue()
+        self.thread = self.error = None
+        self.todo = Queue()
 
     def __call__(self, t, frame):
         self._finish()
@@ -457,28 +455,25 @@ class _FramesWriter(AbstractContextManager):
             self.thread = threading.Thread(target=self._writer, name="nlgauge-frames")
             self.thread.start()
         self.todo.put((t, frame))
-        self.pending = True
 
     def _writer(self):
-        """The writer thread: writes each frame put on ``todo`` and puts its
-        error, or None, on ``done``, until it gets None."""
+        """The writer thread: writes each frame put on ``todo``, leaves the
+        error its writing meets in ``error``, drops the frame, then marks its
+        task finished, until it gets None."""
         for job in iter(self.todo.get, None):
-            error = None
             try:
                 self._write(*job)
             except BaseException as err:  # raised in the caller by _finish
-                error = err
+                self.error = err
             # a frame kept while the next one is computed raises the peak memory
             del job
-            self.done.put(error)
+            self.todo.task_done()
 
     def _finish(self):
         """Wait for the frame in flight and raise the error its writing met."""
-        if self.pending:
-            self.pending = False
-            error = self.done.get()
-            if error is not None:
-                raise error
+        self.todo.join()
+        if self.error is not None:
+            raise self.error
 
     def __exit__(self, error, *_):
         try:
@@ -497,7 +492,7 @@ class _FramesWriter(AbstractContextManager):
         from . import _fmt17
 
         grid, coord = self.grid, self.coord
-        width = coord.shape[1] + 1
+        width = coord.shape[1]
         head = np.frombuffer((_fmt(t) + ",").encode(), np.uint8)
         flat = frame.reshape(-1)
         for start in range(0, grid.npoints, self.rows):
@@ -508,8 +503,7 @@ class _FramesWriter(AbstractContextManager):
             col = head.size
             index = np.unravel_index(np.arange(start, start + part.size), grid.shape)
             for i in index:
-                m[:, col:col + width - 1] = coord[i]
-                m[:, col + width - 1] = ord(",")
+                m[:, col:col + width] = coord[i]
                 col += width
             values = np.stack([part.real, part.imag, density(part)], axis=1)
             cells = m[:, col:].reshape(part.size, 3, -1)
@@ -620,18 +614,18 @@ def _run_convergence(cfg, build, stage):
 
 
 EVOLVES = ("coefficients", "initial_state", "potential")
-# name -> (runner, blocks it reads, initial-state presets it accepts). A
-# trailing "?" marks a block read only when the config gives it; a row
+# name -> (runner, blocks it reads, rows it refuses in the blocks it reads).
+# A trailing "?" marks a block read only when the config gives it; a row
 # (key, kind, default) is a field of the config root.
 EXPERIMENTS = {
-    "evolve": (_run_evolve, EVOLVES, tuple(STATE_PRESETS)),
+    "evolve": (_run_evolve, EVOLVES, ()),
     "gauge-check": (_run_gauge_check, (("trials", "count", 100), "gauge?"), ()),
-    "equivalence": (_run_equivalence, ("gauge", *EVOLVES), SINGLE_STATES),
+    "equivalence": (_run_equivalence, ("gauge", *EVOLVES), ("two-gaussian",)),
     "mixprobe": (_run_mixprobe, ("coefficients", "initial_state",
-                                 ("angle", "number", np.pi / 4)), ("two-gaussian",)),
+                                 ("angle", "number", np.pi / 4)), SINGLE_STATES),
     "separability": (_run_separability, (*EVOLVES, "initial_state_y", "potential_y"),
-                     SINGLE_STATES),
-    "convergence": (_run_convergence, EVOLVES, SINGLE_STATES),
+                     ("two-gaussian",)),
+    "convergence": (_run_convergence, EVOLVES, ("two-gaussian",)),
 }
 
 

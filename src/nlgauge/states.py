@@ -9,8 +9,10 @@ A per-axis argument (a center, width, momentum or mode) is one finite number,
 used on every axis, or a sequence of 1 or ``grid.dimension`` finite numbers;
 any other argument (omega, a separation, an amplitude, ``max_mode``) is one
 finite number. A bool, a non-finite value or another count raises ValueError.
-A field is one profile per axis joined by :meth:`GridSpec.outer`: their
-product for a state, their sum for a potential.
+So do finite arguments that give no usable field: a state whose norm is 0 or
+not finite, a nodeless field whose modulus underflows to 0, and a potential
+that is not finite. A field is one profile per axis joined by
+:meth:`GridSpec.outer`: their product for a state, their sum for a potential.
 """
 
 from __future__ import annotations  # evaluating np.random.Generator imports numpy.random
@@ -35,7 +37,12 @@ def _per_axis(value, count: int, name: str, whole: bool = False) -> np.ndarray:
 
 
 def normalized(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return psi / l2_norm(psi, grid)
+    """``psi`` divided by its L2 norm; a norm that is 0 or not finite (a
+    packet that underflows on every grid point, say) raises ValueError."""
+    norm = l2_norm(psi, grid)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"cannot normalize a state of norm {norm}")
+    return psi / norm
 
 
 def gaussian(grid: GridSpec, center=None, width=None, momentum=0.0) -> np.ndarray:
@@ -92,7 +99,12 @@ def harmonic_potential(grid: GridSpec, omega: float = 1.0, center=None) -> np.nd
     centers = _per_axis(grid.length / 2 if center is None else center, grid.dimension,
                         "harmonic center")
     x = grid.axis_coordinate()
-    return 0.5 * omega ** 2 * grid.outer([(x - c) ** 2 for c in centers], np.add)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        v = 0.5 * omega ** 2 * grid.outer([(x - c) ** 2 for c in centers], np.add)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"harmonic potential of omega {omega} and center "
+                         f"{centers.tolist()} is not finite")
+    return v
 
 
 def free_gaussian_exact(grid: GridSpec, t: float, center: float, width: float,
@@ -152,4 +164,9 @@ def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
     s = phase_amp * band_limited()
     u -= u.max()  # max modulus = 1
     s -= s.ravel()[int(np.argmax(u.ravel()))]
-    return np.exp(u + 1j * s)
+    psi = np.exp(u + 1j * s)
+    zeros = np.count_nonzero(psi == 0)
+    if zeros:
+        raise ValueError(f"log_amp {log_amp} underflows the modulus to 0 at "
+                         f"{zeros} of {psi.size} points")
+    return psi

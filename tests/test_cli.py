@@ -262,6 +262,8 @@ class TestConfigErrors:
         {"initial_state": {"preset": "gaussian", "width": 0.0}},
         {"potential": {"type": "harmonic", "omega": 1e200}},  # omega^2 overflows
         {"run": {"dt": 1e-3, "t_final": 0.0105, "seed": 7}},  # 10.5 steps
+        {"initial_state": {"preset": "random-nodeless", "log_amp": 1e300}},  # |psi| = 0
+        {"initial_state": {"preset": "gaussian", "center": 1e6}},  # 0 on every point
     ])
     def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys,
                                                       overrides):
@@ -784,6 +786,21 @@ class TestMixprobe:
         }
         assert cli.run(write_config(tmp_path, cfg), tmp_path / "out") == 4
         assert "INVARIANT_VIOLATION" in capsys.readouterr().out
+
+    def test_pair_that_underflows_exits_4(self, tmp_path, capsys):
+        # both packets are 0 on every grid point: no pair, as for a degenerate one
+        cfg = {
+            "experiment": "mixprobe",
+            "grid": {"dimension": 1, "n": 64, "length": 20.0},
+            "coefficients": {"nu1": -0.5},
+            "initial_state": {"preset": "two-gaussian", "separation": 1e6},
+            "run": {"dt": 1e-3, "t_final": 0.02, "seed": 0},
+        }
+        out_dir = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, cfg), out_dir) == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "INVARIANT_VIOLATION: cannot normalize a state of norm 0.0"]
+        assert not out_dir.exists()
 
 
 class TestSeparabilityExperiment:

@@ -1,5 +1,7 @@
 """Input checks of the state presets in ``nlgauge.states``."""
 
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +70,38 @@ NAN, INF = float("nan"), float("inf")
 def test_a_non_finite_argument_is_refused(grid, build):
     with pytest.raises(ValueError, match="finite number"):
         build(grid)
+
+
+@pytest.mark.parametrize("value", [0.0, NAN, INF])
+def test_normalized_refuses_a_norm_that_is_zero_or_not_finite(grid, value):
+    with pytest.raises(ValueError, match="norm"):
+        ng.states.normalized(np.full(grid.shape, value, complex), grid)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: ng.states.gaussian(g, center=1e6),
+    lambda g: ng.states.gaussian(g, width=1e-3, center=0.07),
+    lambda g: ng.states.two_gaussian_pair(g, separation=1e6),
+], ids=["far-center", "narrow-between-points", "far-pair"])
+def test_a_packet_that_underflows_on_every_point_is_refused(build):
+    # finite arguments whose packet is 0 on all 64 points, so its norm is 0
+    with pytest.raises(ValueError, match="norm 0.0"):
+        build(ng.make_grid(1, 64, 10.0))
+
+
+@pytest.mark.parametrize("log_amp,zeros", [(400, 6), (1e300, 31)])
+def test_random_nodeless_field_refuses_a_modulus_that_underflows(log_amp, zeros):
+    message = f"log_amp {float(log_amp)} underflows the modulus to 0 at {zeros} of 32 "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ng.states.random_nodeless_field(ng.make_grid(1, 32, 10.0),
+                                        np.random.default_rng(0), log_amp=log_amp)
+
+
+def test_harmonic_potential_refuses_an_omega_whose_field_overflows(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without an overflow warning
+        with pytest.raises(ValueError, match="harmonic potential .* is not finite"):
+            ng.states.harmonic_potential(grid, omega=1e200)
 
 
 @pytest.mark.parametrize("build", [

@@ -150,8 +150,8 @@ def _fields(block, rows, where: str, length: float | None = None,
 
 GRID = (("dimension", "integer", None), ("n", "integer", None),
         ("length", "number", None))
-RUN = (("dt", "positive", None), ("t_final", "positive", None),
-       ("output_every", "count", 1), ("rho_floor_rel", "number", 1e-12),
+RUN = (("dt", "positive", None), ("t_final", "positive", None), ("output_every", "count", 1),
+       ("rho_floor_rel", "number", RegularizationPolicy.rho_floor_rel),
        ("seed", "integer", 0))
 COEFFICIENTS = tuple((key, "number", 0.0) for key in COEFF_NAMES)
 GAUGE = (("gamma", "number", 0.0), ("lambda", "nonzero", 1.0),

@@ -79,13 +79,12 @@ oracle for linearizability experiments.
 
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
 from .functionals import DEFAULT_POLICY, RegularizationPolicy, density, unwrap_phase
-from .grid import (GridSpec, ensure_field, fft_stack, ifft_stack, irfft_field,
-                   l2_norm, rfft_field)
+from .grid import (GridSpec, ensure_field, ensure_state, fft_stack, ifft_stack,
+                   irfft_field, l2_norm, rfft_field)
 
 
 class NumericalBlowupError(RuntimeError):
@@ -121,11 +120,6 @@ class NLSECoefficients:
         return (self.nu2 == self.mu1 == self.mu2 == self.mu3 == self.mu4
                 == self.mu5 == self.alpha1 == self.alpha2 == 0.0)
 
-    @cached_property
-    def nonzero(self) -> Nonzero:
-        """Which coefficients are nonzero, by name."""
-        return Nonzero(*(self.as_array() != 0.0).tolist())
-
     def as_array(self) -> np.ndarray:
         return np.array([self.nu1, self.nu2, self.mu0, self.mu1, self.mu2,
                          self.mu3, self.mu4, self.mu5, self.alpha1, self.alpha2])
@@ -141,21 +135,23 @@ class NLSECoefficients:
 
 class _Plan:
     """What every :func:`rhs` evaluation of one run shares, made once: the
-    coefficients (scalars for one member, ``(B, 1[, 1])`` columns for B
-    members), which term blocks are on (the union over the batch) and the
-    spectral factors with the coefficients folded in (module doc)."""
+    coefficients, which term blocks are on and the spectral factors with the
+    coefficients folded in (module doc). One member or a batch is read
+    through one ``(B, 10)`` array: a block is on when any member's
+    coefficient is nonzero, and a coefficient is a Python float for one
+    member (the bits of its attribute) or a ``(B, 1[, 1])`` column for B
+    members."""
 
     def __init__(self, c, grid: GridSpec):
-        if isinstance(c, NLSECoefficients):
-            values, on = [getattr(c, name) for name in COEFF_NAMES], c.nonzero
-        else:
-            a = np.array([m.as_array() for m in c])
-            if not len(a):
-                raise ValueError("a batch needs at least one member")
-            on = Nonzero(*(a != 0.0).any(axis=0).tolist())
-            values = a.T.reshape((len(COEFF_NAMES), len(a)) + (1,) * grid.dimension)
+        one = isinstance(c, NLSECoefficients)
+        a = np.array([m.as_array() for m in ([c] if one else c)])
+        if not len(a):
+            raise ValueError("a batch needs at least one member")
+        values = a[0].tolist() if one else \
+            a.T.reshape((len(COEFF_NAMES), len(a)) + (1,) * grid.dimension)
         vars(self).update(zip(COEFF_NAMES, values))  # plan.nu1, ..., plan.alpha2
-        self.grid, self.on = grid, on
+        self.grid = grid
+        self.on = on = Nonzero(*(a != 0.0).any(axis=0).tolist())
         self.lap_rho = on.nu2 or on.mu2
         self.grad_rho = on.mu4 or on.mu5
         self.current = on.mu1 or on.mu3 or on.mu4
@@ -414,11 +410,7 @@ def _check_inputs(psi0: np.ndarray, V, grid: GridSpec,
         what = f"{members} stacked states" if batch else "grid"
         raise ValueError(f"initial state shape {psi0.shape} != {what} shape {shape}")
     for b, p in enumerate(psi0 if batch else [psi0]):
-        ensure_field(p, grid, f"{_member(batch, b)}initial state")
-        nrm = l2_norm(p, grid)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"{_member(batch, b)}initial state must be normalized, "
-                             f"got ||psi0|| = {nrm!r}")
+        ensure_state(p, grid, f"{_member(batch, b)}initial state")
     if V is None:
         return
     stack = batch and np.ndim(V) > grid.dimension

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NLSECoefficients, SimulationConfig, evolve
-from .grid import GridSpec, ensure_field, l2_norm, make_grid
+from .grid import GridSpec, ensure_state, l2_norm, make_grid
 
 
 class InvariantViolation(RuntimeError):
@@ -55,10 +55,7 @@ class MixedState:
         if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
         for j, psi in enumerate(self.states):
-            ensure_field(psi, self.grid, f"component {j}")
-            nrm = l2_norm(psi, self.grid)
-            if not abs(nrm - 1.0) <= 1e-10:
-                raise ValueError(f"component {j} is not normalized: ||psi|| = {nrm!r}")
+            ensure_state(psi, self.grid, f"component {j}")
 
 
 def _factor_distance(weights_a, states_a, weights_b, states_b,
@@ -117,10 +114,11 @@ def equivalent_decompositions(psi_a: np.ndarray, psi_b: np.ndarray,
 
 
 def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
-                     config: SimulationConfig, V: np.ndarray | None = None):
-    """Evolve every component of both decompositions independently and return
-    [(t, D(t))] with D the dx-weighted Frobenius distance of the kernels,
-    computed from their J x J factors (1D or 2D states).
+                     config: SimulationConfig):
+    """Evolve every component of both decompositions independently, free of
+    any potential, and return [(t, D(t))] with D the dx-weighted Frobenius
+    distance of the kernels, computed from their J x J factors (1D or 2D
+    states).
 
     The components of both decompositions are the members of one batched
     :func:`evolve` call: each is evolved as if alone, with its own density
@@ -140,7 +138,7 @@ def mixed_divergence(c: NLSECoefficients, dec_a: MixedState, dec_b: MixedState,
                                                   dec_b.weights, psi[n_a:], grid)))
 
     components = [*dec_a.states, *dec_b.states]
-    evolve([c] * len(components), np.array(components), grid, config, V,
+    evolve([c] * len(components), np.array(components), grid, config,
            on_frame=on_frame)
     return series
 

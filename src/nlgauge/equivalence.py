@@ -55,17 +55,21 @@ def hydrodynamic_coefficients(c: NLSECoefficients):
     return a, b
 
 
-def coefficients_from_hydrodynamic(a, b, tol: float = 1e-9) -> NLSECoefficients:
-    """Invert the map; rejects pairs outside the family's reach."""
-    if abs(a[1] - 2.0 * a[0]) > tol * max(1.0, abs(a[0])) \
-            or abs(a[3] - 2.0 * a[2]) > tol * max(1.0, abs(a[2])):
+FORM_TOL = 1e-9  # relative slack of the family-form relations of (a, b)
+
+
+def coefficients_from_hydrodynamic(a, b) -> NLSECoefficients:
+    """Invert the map; rejects pairs outside the family's reach, to the
+    relative slack :data:`FORM_TOL`."""
+    if abs(a[1] - 2.0 * a[0]) > FORM_TOL * max(1.0, abs(a[0])) \
+            or abs(a[3] - 2.0 * a[2]) > FORM_TOL * max(1.0, abs(a[2])):
         raise ValueError("hydrodynamic pair is not of family form")
     nu1 = a[0]
     nu2 = a[2] / 2.0
     mu0 = -b[5]
     if nu1 == 0.0:
         # J vanishes identically: the J-quotient channels must be absent
-        if max(abs(b[0]), abs(b[1]), abs(b[4])) > tol:
+        if max(abs(b[0]), abs(b[1]), abs(b[4])) > FORM_TOL:
             raise ValueError("nu1 == 0 but current-based terms are present")
         mu1 = mu3 = mu4 = 0.0
     else:

@@ -97,24 +97,16 @@ def divergence(vec: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _carry_over_invalid(s: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """For each member (leading axis of ``s``), replace entries where ~valid
-    by the nearest previous valid value along the row-major scan (leading
-    invalid entries take the first valid). A member without a valid point
-    is left as it is."""
-    width = s.size // len(s)
-    flat = valid.ravel()
-    own = np.arange(s.size)  # flat index of each entry
-    idx = own * flat
-    np.maximum.accumulate(idx, out=idx)  # one scan through all members
-    # before its first valid point a member holds 0 or an earlier member's
-    # index: those entries take that first valid point
-    for start, first in zip(range(0, s.size, width),
-                            valid.reshape(-1, width).argmax(axis=1)):
-        if flat[start + first]:
-            idx[start:start + first] = start + first
-        else:
-            idx[start:start + width] = own[start:start + width]
-    return s.ravel()[idx].reshape(s.shape)
+    """``s`` with each entry where ~valid replaced by the nearest previous
+    valid value of its row, on ``(members, points)`` arrays (one row per
+    member, its points in row-major order). An invalid entry starts at its
+    member's first valid index, and one running maximum along the points
+    gives it the last valid index before it (leading invalid entries take
+    the first valid). A member without a valid point is left as it is."""
+    first = valid.argmax(axis=1)[:, None]  # 0 for a member without a valid point
+    idx = np.where(valid | ~valid.any(axis=1, keepdims=True), np.arange(s.shape[1]), first)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    return np.take_along_axis(s, idx, axis=1)
 
 
 def _unwrap_rows(p: np.ndarray) -> np.ndarray:
@@ -175,9 +167,8 @@ def unwrap_phase(psi: np.ndarray, valid: np.ndarray | None = None,
         s += (_unwrap_rows(ang[column]) - s[column])[..., None]
     s += ang[anchor] - s[anchor]
     if valid is not None and not valid.all():
-        field = psi.shape[-dim:]
-        s = _carry_over_invalid(s.reshape((-1,) + field),
-                                valid.reshape((-1,) + field)).reshape(psi.shape)
+        rows = (len(psi) if members else 1, -1)
+        s = _carry_over_invalid(s.reshape(rows), valid.reshape(rows)).reshape(psi.shape)
     return s
 
 

@@ -154,6 +154,16 @@ def ensure_field(f: np.ndarray, grid: GridSpec, name: str = "field") -> np.ndarr
     return f
 
 
+def ensure_state(psi: np.ndarray, grid: GridSpec, name: str = "state") -> np.ndarray:
+    """:func:`ensure_field`, and a unit L2 norm to 1e-10; returns the array
+    unchanged."""
+    psi = ensure_field(psi, grid, name)
+    nrm = l2_norm(psi, grid)
+    if not abs(nrm - 1.0) <= 1e-10:
+        raise ValueError(f"{name} must be normalized, got ||psi|| = {nrm!r}")
+    return psi
+
+
 # ------------------------------------------------------------ transforms ----
 
 def fft_stack(a: np.ndarray, grid: GridSpec) -> np.ndarray:

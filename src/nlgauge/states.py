@@ -10,8 +10,10 @@ used on every axis, or a sequence of 1 or ``grid.dimension`` finite numbers;
 any other argument (omega, a separation, an amplitude, ``max_mode``) is one
 finite number. A bool, a non-finite value or another count raises ValueError.
 So do finite arguments that give no usable field: a state whose norm is 0 or
-not finite, a nodeless field whose modulus underflows to 0, and a potential
-that is not finite. A field is one profile per axis joined by
+not finite, a nodeless field that is not finite or whose modulus underflows
+to 0, and a potential that is not finite. Such fields are computed with
+numpy's overflow and invalid-value warnings off and refused afterwards, so a
+refusal comes with no RuntimeWarning. A field is one profile per axis joined by
 :meth:`GridSpec.outer`: their product for a state, their sum for a potential.
 """
 
@@ -58,8 +60,10 @@ def gaussian(grid: GridSpec, center=None, width=None, momentum=0.0) -> np.ndarra
     if min(widths) <= 0:
         raise ValueError("gaussian width must be positive")
     x = grid.axis_coordinate()
-    return normalized(grid.outer([np.exp(-((x - c) ** 2) / (4.0 * w ** 2) + 1j * k * (x - c))
-                                  for c, w, k in zip(centers, widths, moms)]), grid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        psi = grid.outer([np.exp(-((x - c) ** 2) / (4.0 * w ** 2) + 1j * k * (x - c))
+                          for c, w, k in zip(centers, widths, moms)])
+    return normalized(psi, grid)
 
 
 def plane_wave(grid: GridSpec, mode=1) -> np.ndarray:
@@ -160,11 +164,15 @@ def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
             profiles.append(prof / modes ** 0.5)
         return grid.outer(profiles, np.add)
 
-    u = log_amp * band_limited()
-    s = phase_amp * band_limited()
-    u -= u.max()  # max modulus = 1
-    s -= s.ravel()[int(np.argmax(u.ravel()))]
-    psi = np.exp(u + 1j * s)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        u = log_amp * band_limited()
+        s = phase_amp * band_limited()
+        u -= u.max()  # max modulus = 1
+        s -= s.ravel()[int(np.argmax(u.ravel()))]
+        psi = np.exp(u + 1j * s)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError(f"log_amp {log_amp} and phase_amp {phase_amp} give a "
+                         "non-finite state")
     zeros = np.count_nonzero(psi == 0)
     if zeros:
         raise ValueError(f"log_amp {log_amp} underflows the modulus to 0 at "

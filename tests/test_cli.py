@@ -264,6 +264,9 @@ class TestConfigErrors:
         {"run": {"dt": 1e-3, "t_final": 0.0105, "seed": 7}},  # 10.5 steps
         {"initial_state": {"preset": "random-nodeless", "log_amp": 1e300}},  # |psi| = 0
         {"initial_state": {"preset": "gaussian", "center": 1e6}},  # 0 on every point
+        {"initial_state": {"preset": "random-nodeless", "phase_amp": 1e308},  # NaN phase
+         "run": {"dt": 1e-3, "t_final": 0.02, "seed": 0}},  # seed 7 draws a finite one
+        {"initial_state": {"preset": "gaussian", "momentum": 1e308}},  # NaN norm
     ])
     def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys,
                                                       overrides):

@@ -115,6 +115,19 @@ class TestCommutingResidual:
                                     grid64, cfg, refine=False)
         assert rep.residual_series[0][1] <= 1e-12
 
+    def test_series_starts_at_zero_residual_at_any_floor(self):
+        # both paths gauge with the run's floor: a floored state gives t=0
+        # residual 0 at a floor other than the default
+        grid = ng.make_grid(1, 128, 40.0)
+        psi = ng.states.gaussian(grid, width=2.0, momentum=3 * 2 * np.pi / 40)
+        policy = ng.RegularizationPolicy(rho_floor_rel=1e-3)
+        assert policy.regularized_fraction(ng.density(psi)) > 0.0
+        cfg = SimulationConfig(dt=1e-4, t_final=1e-3, policy=policy)
+        rep = ng.commuting_residual(GaugeTransform(0.3, 1.0),
+                                    NLSECoefficients(nu1=-0.5), psi, grid, cfg,
+                                    refine=False)
+        assert rep.residual_series[0][1] == 0.0
+
     def test_linear_family_diagram_closes(self, grid64, packet64):
         cfg = SimulationConfig(dt=0.02, t_final=0.2, output_every=10)
         rep = ng.commuting_residual(GaugeTransform(0.8, 1.7),

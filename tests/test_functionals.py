@@ -27,6 +27,25 @@ def unwrap_reference(psi):
     return s
 
 
+def carry_over_reference(phase, valid):
+    """The carried phase spelled out, one entry at a time: per member (leading
+    axis), each invalid entry of the row-major scan takes the last valid value
+    before it, or the member's first valid value when none precedes it; a
+    member without a valid point keeps its own values."""
+    out = []
+    for s, ok in zip(phase, valid):
+        s, ok = s.ravel().tolist(), ok.ravel().tolist()
+        if True in ok:
+            last = s[ok.index(True)]
+            for i in range(len(s)):
+                if ok[i]:
+                    last = s[i]
+                else:
+                    s[i] = last
+        out.append(s)
+    return np.array(out).reshape(phase.shape)
+
+
 class TestDensity:
     def test_plane_wave(self, grid64):
         psi, _ = plane_wave_raw(grid64)
@@ -115,6 +134,24 @@ class TestModulusPhase:
         quarter = rng.choice(np.array([1.0, -1.0, 1j, -1j, 2.0, -2.0j]), size=shape)
         for psi in (walk, quarter):
             assert np.array_equal(ng.unwrap_phase(psi), unwrap_reference(psi))
+
+    @pytest.mark.parametrize("shape", [(64,), (12, 16)])
+    def test_carried_phase_matches_an_entry_by_entry_scan(self, rng, shape):
+        # four members: random invalid points after 5 leading ones, every
+        # point valid, no valid point, and random invalid points
+        psis = np.exp(1j * np.cumsum(rng.normal(0.0, 2.0, (4,) + shape), axis=-1))
+        valid = rng.random(psis.shape) > 0.4
+        valid[0].flat[:5] = False
+        valid[1] = True
+        valid[2] = False
+        for b in (0, 3):
+            got = ng.unwrap_phase(psis[b], valid=valid[b])
+            expect = carry_over_reference(ng.unwrap_phase(psis[b])[None], valid[b][None])
+            assert np.array_equal(got, expect[0])
+        got = ng.unwrap_phase(psis, valid=valid, dimension=len(shape))
+        expect = carry_over_reference(np.array([ng.unwrap_phase(p) for p in psis]), valid)
+        assert np.array_equal(got, expect)
+        assert not np.array_equal(got, np.array([ng.unwrap_phase(p) for p in psis]))
 
     def test_2d_product_phase_is_additive(self):
         grid = ng.make_grid(1, 32, 10.0)

@@ -97,6 +97,20 @@ def test_random_nodeless_field_refuses_a_modulus_that_underflows(log_amp, zeros)
                                         np.random.default_rng(0), log_amp=log_amp)
 
 
+@pytest.mark.parametrize("build", [
+    lambda g: ng.states.random_nodeless_field(g, np.random.default_rng(0), log_amp=1e308),
+    lambda g: ng.states.random_nodeless_field(g, np.random.default_rng(0), phase_amp=1e308),
+    lambda g: ng.states.gaussian(g, momentum=1e308),
+    lambda g: ng.states.gaussian(g, width=1e-300),
+    lambda g: ng.states.gaussian(g, center=1e308),
+], ids=["log-amp", "phase-amp", "momentum", "width", "center"])
+def test_finite_arguments_that_overflow_are_refused_without_a_warning(grid, build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite|norm|underflows"):
+            build(grid)
+
+
 def test_harmonic_potential_refuses_an_omega_whose_field_overflows(grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused without an overflow warning

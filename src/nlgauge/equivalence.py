@@ -155,14 +155,14 @@ def commuting_residual(g: GaugeTransform, c: NLSECoefficients,
     Path A evolves psi0 under c and gauges every output frame; path B evolves
     the gauged initial state under cp (the push-forward of c unless an
     explicit cp is supplied, e.g. for negative controls). Both gauges use the
-    density floor of ``config.policy``, so the t=0 residual is exactly 0 at
-    any floor. The two paths are
-    the two members of one batched :func:`evolve` call, c and cp as two rows:
-    each keeps its own density floor and phase anchor, the term blocks are
-    the union of both (a linear path A multiplies finite fields by 0), and an
-    abort names the path that failed (member 0 is A, member 1 is B). With
-    ``refine`` the run is repeated at dt/2 and the observed order
-    log2(sup/sup_fine) is reported; the series itself is from the base dt.
+    density floor of ``config.policy``, so the paths agree at t=0 at any
+    floor. The two paths are the two members of one batched :func:`evolve`
+    call, c and cp as two rows: each keeps its own density floor and phase
+    anchor, the term blocks are the union of both (a linear path A
+    multiplies finite fields by 0), and an abort names the path that failed
+    (member 0 is A, member 1 is B). With ``refine`` the run is repeated at
+    dt/2 and the observed order log2(sup/sup_fine) is reported; the series
+    itself is from the base dt.
     """
     if cp is None:
         cp = push_forward_family(g, c)
@@ -172,7 +172,7 @@ def commuting_residual(g: GaugeTransform, c: NLSECoefficients,
         series = []
 
         def on_frame(t, pair):  # each frame's residual as it is made; none is kept
-            gauged = apply_gauge(g, pair[0], cfg.policy)  # psi0_p's floor
+            gauged = apply_gauge(g, pair[0], cfg.policy)  # psi0_p's floor, too
             series.append((float(t), l2_norm(gauged - pair[1], grid)))
 
         traj_a, traj_b = evolve([c, cp], np.stack([psi0, psi0_p]), grid, cfg, V,

@@ -103,10 +103,11 @@ def _carry_over_invalid(s: np.ndarray, valid: np.ndarray) -> np.ndarray:
     member's first valid index, and one running maximum along the points
     gives it the last valid index before it (leading invalid entries take
     the first valid). A member without a valid point is left as it is."""
-    first = valid.argmax(axis=1)[:, None]  # 0 for a member without a valid point
-    idx = np.where(valid | ~valid.any(axis=1, keepdims=True), np.arange(s.shape[1]), first)
+    own = np.arange(s.size).reshape(s.shape)  # flat index of each entry
+    first = own[:, :1] + valid.argmax(axis=1)[:, None]  # each member's first valid entry
+    idx = np.where(valid | ~valid.any(axis=1, keepdims=True), own, first)
     np.maximum.accumulate(idx, axis=1, out=idx)
-    return np.take_along_axis(s, idx, axis=1)
+    return s.ravel()[idx]
 
 
 def _unwrap_rows(p: np.ndarray) -> np.ndarray:

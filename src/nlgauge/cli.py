@@ -17,20 +17,21 @@ prints one machine-parsable line ``<CATEGORY>: <reason>``.
 
 Config handling is table-driven: the rows of each block, preset, potential
 and experiment validate a config, fill its defaults, list the ``presets`` and
-pick the builders. A key that no row names, in a block or at the root, is a
-config error. The manifest echoes the fully resolved config (all
+pick the builders, which pass a block's fields on as keywords, so each field
+is named once, in its row. A key that no row names, in a block or at the
+root, is a config error. The manifest echoes the fully resolved config (all
 defaults filled in), so re-running ``nlgauge run manifest.json`` reproduces
 the outputs byte for byte. Floats are printed with 17 significant digits; the
 only randomness is the run's one generator, seeded by ``run.seed`` and made at
 its first draw: a run that draws nothing never imports ``numpy.random``.
 ``frames.csv`` is written frame by frame as ``evolve`` produces the frames,
 so memory does not grow with their number. It goes out in blocks of
-``FRAME_BLOCK_ROWS`` rows, each one byte matrix whose numbers are formatted by
-numpy (``_fmt17``). When the process may run on more than one CPU, a frame of
-more than one block is written on a writer thread while the next steps run,
-one frame behind the integrator. Its bytes are pinned by a test against a
-naive per-value writer, not only by rerun determinism, and do not depend on
-the thread.
+``FRAME_BLOCK_ROWS`` rows, inline or on the writer thread alike, each one
+byte matrix whose numbers are formatted by numpy (``_fmt17``). When the
+process may run on more than one CPU, a frame of more than one block is
+written on a writer thread while the next steps run, one frame behind the
+integrator. Its bytes are pinned by a test against a naive per-value writer,
+not only by rerun determinism, and do not depend on the thread.
 """
 
 import argparse
@@ -70,8 +71,9 @@ def _fmt(x) -> str:
 # Each config block is written once, as rows (key, kind, default) that
 # validate it, fill its defaults, list the presets and feed the builders.
 # Kinds: number (finite), integer (int64), positive, count (integer >= 1),
-# nonzero and path. A default of None makes the key required; "L/d" is
-# grid.length / d, divided so that L/40 is the same double as length / 40.
+# seed (integer >= 0), nonzero and path (a JSON string). A default of None
+# makes the key required; "L/d" is grid.length / d, divided so that L/40 is
+# the same double as length / 40.
 
 def _object(block, where: str) -> dict:
     if not isinstance(block, dict):
@@ -86,13 +88,16 @@ def _require(block: dict, key: str, where: str):
 
 
 INT64 = np.iinfo(np.int64)
+LEAST = {"count": 1, "seed": 0}  # the integer kinds with a least value
 
 
 def _value(value, kind: str, where: str):
     """One field checked against its kind; the number kinds come back as float."""
     if kind == "path":
-        return str(value)
-    if kind in ("integer", "count"):
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    if kind == "integer" or kind in LEAST:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         if isinstance(value, bool) or not isinstance(value, int):
@@ -110,8 +115,8 @@ def _value(value, kind: str, where: str):
             raise ConfigError(f"{where} must be finite, got {value!r}")
     if kind == "positive" and not value > 0:
         raise ConfigError(f"{where} must be positive, got {value!r}")
-    if kind == "count" and value < 1:
-        raise ConfigError(f"{where} must be >= 1, got {value!r}")
+    if value < LEAST.get(kind, -np.inf):
+        raise ConfigError(f"{where} must be >= {LEAST[kind]}, got {value!r}")
     if kind == "nonzero" and value == 0:
         raise ConfigError(f"{where} must be nonzero")
     return value
@@ -150,16 +155,15 @@ def _fields(block, rows, where: str, length: float | None = None,
 
 GRID = (("dimension", "integer", None), ("n", "integer", None),
         ("length", "number", None))
-RUN = (("dt", "positive", None), ("t_final", "positive", None), ("output_every", "count", 1),
-       ("rho_floor_rel", "number", RegularizationPolicy.rho_floor_rel),
-       ("seed", "integer", 0))
+RUN = (("dt", "positive", None), ("t_final", "positive", None),
+       ("output_every", "count", SimulationConfig.output_every),
+       ("rho_floor_rel", "number", RegularizationPolicy.rho_floor_rel), ("seed", "seed", 0))
 COEFFICIENTS = tuple((key, "number", 0.0) for key in COEFF_NAMES)
 GAUGE = (("gamma", "number", 0.0), ("lambda", "nonzero", 1.0),
-         ("theta_const", "number", 0.0))
+         ("theta_const", "number", GaugeTransform.theta))
 
 
-def _potential_file(build, b):
-    grid, path = build.grid, b["path"]
+def _potential_file(grid: GridSpec, path: str):
     try:
         values = np.loadtxt(path, dtype=float)
     except (OSError, ValueError) as err:  # missing, a directory, or not numbers
@@ -174,44 +178,42 @@ def _potential_file(build, b):
 
 
 # name -> (fields, one-line doc, builder). A builder takes the run's inputs
-# and the resolved block, and reads ``build.grid`` and ``build.rng`` itself, so
-# only a preset that draws makes the generator. Builders look ``states``
-# functions up when they run, so a wrapper set on the module attribute sees
-# every call.
+# and the resolved fields of its block, without the selector key, and passes
+# them on as keywords, so a field is named only in its row. It reads
+# ``build.grid`` and ``build.rng`` itself, so only a preset that draws makes
+# the generator. Builders look ``states`` functions up when they run, so a
+# wrapper set on the module attribute sees every call.
 STATE_PRESETS = {
     "gaussian": (
         (("center", "number", "L/2"), ("width", "positive", "L/40"),
          ("momentum", "number", 0.0)),
         "normalized packet exp(-(x-c)^2/(4w^2) + i k (x-c)); on the periodic"
         " box pick momentum a multiple of 2*pi/L",
-        lambda build, b: states.gaussian(
-            build.grid, center=b["center"], width=b["width"], momentum=b["momentum"])),
+        lambda build, b: states.gaussian(build.grid, **b)),
     "plane-wave": (
         (("mode", "integer", 1),),
         "exp(i 2 pi mode x / L) / sqrt(L)",
-        lambda build, b: states.plane_wave(build.grid, mode=b["mode"])),
+        lambda build, b: states.plane_wave(build.grid, **b)),
     "random-nodeless": (
         (("max_mode", "count", 4), ("log_amp", "number", 0.4),
          ("phase_amp", "number", 0.4)),
         "seeded band-limited exp(u+is), strictly nodeless, zero winding",
-        lambda build, b: states.normalized(states.random_nodeless_field(
-            build.grid, build.rng, max_mode=b["max_mode"], log_amp=b["log_amp"],
-            phase_amp=b["phase_amp"]), build.grid)),
+        lambda build, b: states.normalized(
+            states.random_nodeless_field(build.grid, build.rng, **b), build.grid)),
     "two-gaussian": (
         (("separation", "number", "L/4"), ("width", "positive", "L/32")),
         "orthonormalized displaced pair; mixprobe rotates it by 'angle'",
-        lambda build, b: states.normalized(np.add(*states.two_gaussian_pair(
-            build.grid, separation=b["separation"], width=b["width"])), build.grid)),
+        lambda build, b: states.normalized(
+            np.add(*states.two_gaussian_pair(build.grid, **b)), build.grid)),
 }
 
 POTENTIALS = {
     "file": ((("path", "path", None),),
              "one V value per line, grid layout (row-major in 2D)",
-             _potential_file),
+             lambda build, b: _potential_file(build.grid, **b)),
     "harmonic": ((("omega", "number", 1.0), ("center", "number", "L/2")),
                  "(omega^2/2) |x - c|^2",
-                 lambda build, b: states.harmonic_potential(
-                     build.grid, omega=b["omega"], center=b["center"])),
+                 lambda build, b: states.harmonic_potential(build.grid, **b)),
     "none": ((), "free evolution", lambda build, b: None),
 }
 
@@ -321,8 +323,8 @@ class _Inputs:
 
     def __call__(self, name: str):
         key, rows, _ = BLOCKS[name]
-        b = self.cfg[name]
-        return rows[b.get(key)][2](self, b)
+        b = dict(self.cfg[name])
+        return rows[b.pop(key, None)][2](self, b)
 
 
 # ---------------------------------------------------------------- output ----
@@ -383,16 +385,14 @@ def write_series_csv(fh, header, rows) -> None:
         fh.write(",".join("nan" if v is None else _fmt(v) for v in row) + "\n")
 
 
-# Rows of frames.csv in one byte matrix. A block rather than a whole frame
-# bounds the temporaries of one write by the block size (about 2.7 MB,
-# tracemalloc), not the grid size. Each block also carries about 0.3 ms of
-# fixed formatter overhead, so fewer, larger blocks write faster.
-FRAME_BLOCK_ROWS = 4096
-# Rows of one block on the writer thread. Its writes overlap the next steps
-# (an RK4 step at 128^2 peaks near 3.6 MB), so the two peaks add. 3072 rows
-# peak at about 2.0 MB, against 2.7 MB for 4096, and take about 0.8 MB off
-# the peak resident memory of a 128^2 run.
-WRITER_BLOCK_ROWS = 3072
+# Rows of frames.csv in one byte matrix, inline and on the writer thread. A
+# block rather than a whole frame bounds the temporaries of one write by the
+# block size (about 2.0 MB, tracemalloc), not the grid size. On the thread
+# they add to the peak of the steps they overlap (an RK4 step at 128^2 peaks
+# near 3.6 MB); 3072 rows take about 0.8 MB off the peak resident memory of a
+# 128^2 run against 4096. Each block also carries about 0.3 ms of fixed
+# formatter overhead, so much smaller blocks write slower.
+FRAME_BLOCK_ROWS = 3072
 
 
 def _cpus() -> int:
@@ -413,10 +413,10 @@ class _FramesWriter(AbstractContextManager):
     of each cell takes the comma or the newline. Deleting the 0 bytes gives
     the text of a per-value ``"%.17g"`` writer.
 
-    A frame of more than one block is formatted and written by a writer
-    thread, in blocks of ``WRITER_BLOCK_ROWS`` rows, while the caller
-    computes the next frame; ``write`` first waits for the frame before, so
-    at most one frame is in flight and the frames go out in order. The frame
+    Blocks hold ``FRAME_BLOCK_ROWS`` rows. A frame of more than one block is
+    formatted and written by a writer thread while the caller computes the
+    next frame; ``write`` first waits for the frame before, so at most one
+    frame is in flight and the frames go out in order. The frame
     is not copied: :func:`evolve` never writes into a frame it has handed
     on. A frame of at most one block, or any frame in a process that may run
     on one CPU only, is written inline: on one CPU the thread overlaps
@@ -439,7 +439,6 @@ class _FramesWriter(AbstractContextManager):
         coord = np.array([f"{_fmt(v)},".encode() for v in grid.axis_coordinate()], dtype=bytes)
         self.coord = coord.view(np.uint8).reshape(grid.n, -1)
         self.threaded = grid.npoints > FRAME_BLOCK_ROWS and _cpus() > 1
-        self.rows = WRITER_BLOCK_ROWS if self.threaded else FRAME_BLOCK_ROWS
         self.thread = self.error = None
         self.todo = Queue()
 
@@ -495,8 +494,8 @@ class _FramesWriter(AbstractContextManager):
         width = coord.shape[1]
         head = np.frombuffer((_fmt(t) + ",").encode(), np.uint8)
         flat = frame.reshape(-1)
-        for start in range(0, grid.npoints, self.rows):
-            part = flat[start:start + self.rows]
+        for start in range(0, grid.npoints, FRAME_BLOCK_ROWS):
+            part = flat[start:start + FRAME_BLOCK_ROWS]
             m = np.empty((part.size, head.size + grid.dimension * width
                           + 3 * _fmt17.WIDTH), np.uint8)
             m[:, :head.size] = head
@@ -573,10 +572,9 @@ def _run_equivalence(cfg, build, stage):
 def _run_mixprobe(cfg, build, stage):
     # the pair itself, not the preset's sum: a degenerate pair is an invariant
     # violation here, not a config error
-    blk = cfg["initial_state"]
+    blk = {k: v for k, v in cfg["initial_state"].items() if k != "preset"}
     try:
-        psi_a, psi_b = states.two_gaussian_pair(build.grid, separation=blk["separation"],
-                                                width=blk["width"])
+        psi_a, psi_b = states.two_gaussian_pair(build.grid, **blk)
     except ValueError as err:
         raise InvariantViolation(str(err)) from None
     dec_a, dec_b = equivalent_decompositions(psi_a, psi_b, cfg["angle"], build.grid)

@@ -78,7 +78,7 @@ oracle for linearizability experiments.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,14 +91,11 @@ class NumericalBlowupError(RuntimeError):
     """Raised when the state leaves the finite/normalized regime."""
 
 
-COEFF_NAMES = ("nu1", "nu2", "mu0", "mu1", "mu2", "mu3", "mu4", "mu5",
-               "alpha1", "alpha2")
-Nonzero = namedtuple("Nonzero", COEFF_NAMES)
-
-
 @dataclass(frozen=True)
 class NLSECoefficients:
-    """The ten real coefficients. Defaults give the free linear equation."""
+    """The ten real coefficients. Their field names, in order, are
+    :data:`COEFF_NAMES`, the one list of them. Defaults give the free linear
+    equation."""
 
     nu1: float = -0.5
     nu2: float = 0.0
@@ -117,12 +114,11 @@ class NLSECoefficients:
 
     def linear_case(self) -> bool:
         """True when only nu1 and mu0 may be nonzero."""
-        return (self.nu2 == self.mu1 == self.mu2 == self.mu3 == self.mu4
-                == self.mu5 == self.alpha1 == self.alpha2 == 0.0)
+        return all(getattr(self, k) == 0.0 for k in COEFF_NAMES if k not in ("nu1", "mu0"))
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.nu1, self.nu2, self.mu0, self.mu1, self.mu2,
-                         self.mu3, self.mu4, self.mu5, self.alpha1, self.alpha2])
+        """The ten values in :data:`COEFF_NAMES` order."""
+        return np.array([getattr(self, k) for k in COEFF_NAMES])
 
     @classmethod
     def from_array(cls, a) -> "NLSECoefficients":
@@ -131,6 +127,11 @@ class NLSECoefficients:
         if len(a) != len(COEFF_NAMES):
             raise ValueError(f"expected {len(COEFF_NAMES)} coefficients, got {len(a)}")
         return cls(**dict(zip(COEFF_NAMES, a)))
+
+
+# the field names, in the order of as_array and of the (B, 10) array of a batch
+COEFF_NAMES = tuple(f.name for f in fields(NLSECoefficients))
+Nonzero = namedtuple("Nonzero", COEFF_NAMES)
 
 
 class _Plan:

@@ -10,10 +10,11 @@ used on every axis, or a sequence of 1 or ``grid.dimension`` finite numbers;
 any other argument (omega, a separation, an amplitude, ``max_mode``) is one
 finite number. A bool, a non-finite value or another count raises ValueError.
 So do finite arguments that give no usable field: a state whose norm is 0 or
-not finite, a nodeless field that is not finite or whose modulus underflows
-to 0, and a potential that is not finite. Such fields are computed with
-numpy's overflow and invalid-value warnings off and refused afterwards, so a
-refusal comes with no RuntimeWarning. A field is one profile per axis joined by
+not finite, a nodeless field that is not finite, whose modulus underflows
+to 0 or whose phase is too coarse to unwrap, and a potential that is not
+finite. Such fields are computed with numpy's overflow and invalid-value
+warnings off and refused afterwards, so a refusal comes with no
+RuntimeWarning. A field is one profile per axis joined by
 :meth:`GridSpec.outer`: their product for a state, their sum for a potential.
 """
 
@@ -144,7 +145,9 @@ def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
     given amplitudes; the modulus is rescaled so max|psi| = 1 and the phase is
     shifted to vanish at the modulus peak. Both choices keep the
     unwrapped phase of gauge images branch-stable, which the group-law and
-    density-invariance experiments rely on. ``max_mode`` must be >= 1.
+    density-invariance experiments rely on. ``max_mode`` must be >= 1. A
+    phase whose largest |s| has a float spacing above pi, the jump threshold
+    of the unwrap rule, is refused: no turn of it is resolved.
     """
     modes = int(_per_axis(max_mode, 1, "max_mode", whole=True)[0])
     if modes < 1:
@@ -173,6 +176,10 @@ def random_nodeless_field(grid: GridSpec, rng: np.random.Generator,
     if not np.all(np.isfinite(psi)):
         raise ValueError(f"log_amp {log_amp} and phase_amp {phase_amp} give a "
                          "non-finite state")
+    top = np.max(np.abs(s))
+    if not np.spacing(top) <= np.pi:  # the unwrap rule's jump threshold
+        raise ValueError(f"phase_amp {phase_amp} gives a phase of largest |s| {top:g}, "
+                         "too coarse to unwrap: its float spacing exceeds pi")
     zeros = np.count_nonzero(psi == 0)
     if zeros:
         raise ValueError(f"log_amp {log_amp} underflows the modulus to 0 at "

@@ -171,6 +171,11 @@ class TestBatchedEvolve:
         with pytest.raises(ValueError, match="2 stacked states"):
             ng.evolve(members[:2], psis, grid64, cfg)
 
+    def test_empty_batch_is_refused(self, grid64):
+        cfg = SimulationConfig(dt=1e-3, t_final=0.01)
+        with pytest.raises(ValueError, match="at least one member"):
+            ng.evolve([], np.empty((0,) + grid64.shape, complex), grid64, cfg)
+
     def test_potential_stack_checked_per_member(self, grid64):
         members, psis = self._three(grid64)
         cfg = SimulationConfig(dt=1e-3, t_final=0.01)

@@ -201,7 +201,7 @@ class TestFramesBytes:
         assert (tmp_path / "frames.csv").read_bytes() == reference_frames_csv(traj)
 
     def test_2d_matches_reference(self, tmp_path):
-        traj = awkward_trajectory(2, 96, seed=1)
+        traj = awkward_trajectory(2, 100, seed=1)
         # several blocks per frame, the last one partial
         assert traj.grid.npoints > cli.FRAME_BLOCK_ROWS
         assert traj.grid.npoints % cli.FRAME_BLOCK_ROWS != 0
@@ -267,6 +267,19 @@ class TestConfigErrors:
         {"initial_state": {"preset": "random-nodeless", "phase_amp": 1e308},  # NaN phase
          "run": {"dt": 1e-3, "t_final": 0.02, "seed": 0}},  # seed 7 draws a finite one
         {"initial_state": {"preset": "gaussian", "momentum": 1e308}},  # NaN norm
+        {"initial_state": {"preset": "random-nodeless", "phase_amp": 1e300}},  # seed 7
+        {"potential": {"type": "file", "path": 16}},
+        {"potential": {"type": "file", "path": True}},
+        {"potential": {"type": "file", "path": None}},
+        {"run": {"dt": 1e-3, "t_final": 0.02, "seed": -1}},  # a gaussian draws nothing
+        {"initial_state": {"preset": "random-nodeless"},
+         "run": {"dt": 1e-3, "t_final": 0.02, "seed": -1}},
+        {"initial_state": {"width": 1.0}},  # no preset
+        {"coefficients": {"nu1": "-0.5"}},
+        {"coefficients": {"nu1": float("nan")}},  # the NaN literal
+        {"coefficients": {"nu1": -0.5, "mu0": float("inf")}},  # the Infinity literal
+        {"experiment": "equivalence", "gauge": {"lambda": 0}},
+        {"run": {"t_final": 0.02}},
     ])
     def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys,
                                                       overrides):
@@ -276,6 +289,61 @@ class TestConfigErrors:
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["experiment", "grid"])
+    def test_missing_root_key_is_one_config_error_line(self, tmp_path, capsys, key):
+        cfg = base_evolve_config()
+        del cfg[key]
+        out_dir = tmp_path / "out"
+        assert cli.run(write_config(tmp_path, cfg), out_dir) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"CONFIG_ERROR: missing '{key}' in config"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text", ["[]", "5", "null", '"evolve"'])
+    def test_root_that_is_not_an_object_is_one_config_error_line(self, tmp_path, capsys,
+                                                                 text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli.run(path, tmp_path / "out") == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "CONFIG_ERROR: config root must be a JSON object"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", [16, True, None])
+    def test_potential_path_must_be_a_string(self, tmp_path, monkeypatch, capsys, path):
+        # a file named as str() spells the value is there, so only the type refuses it
+        monkeypatch.chdir(tmp_path)
+        np.savetxt(str(path), np.zeros(64))
+        cfg = base_evolve_config(potential={"type": "file", "path": path})
+        assert cli.run(write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"CONFIG_ERROR: potential.path must be a string, got {path!r}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, 2.0, 3.0], "potential file has 3 values, grid needs 64"),
+        ([np.nan] + [0.0] * 63, "contains non-finite values"),
+        ([0.0] * 63 + [-np.inf], "contains non-finite values"),
+    ], ids=["count", "nan", "inf"])
+    def test_unusable_potential_file_is_one_config_error_line(self, tmp_path, capsys,
+                                                              values, message):
+        np.savetxt(tmp_path / "v.txt", values)
+        cfg = base_evolve_config(potential={"type": "file", "path": str(tmp_path / "v.txt")})
+        assert cli.run(write_config(tmp_path, cfg), tmp_path / "out") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: ")
+        assert message in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+    def test_negative_seed_is_refused_for_every_experiment(self, tmp_path, capsys,
+                                                            experiment):
+        cfg = {"experiment": experiment, "grid": {"dimension": 1, "n": 64, "length": 20.0},
+               "run": {"dt": 1e-3, "t_final": 0.02, "seed": -1}}
+        assert cli.run(write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "CONFIG_ERROR: run.seed must be >= 0, got -1"]
 
     @pytest.mark.parametrize("overrides,key", [
         ({"initial_state": {"preset": "gaussian", "widht": 0.1}}, "widht"),
@@ -447,7 +515,10 @@ class TestStreamedFrames:
         assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
             "frames.csv", "manifest.json"]
 
-    def test_peak_memory_does_not_grow_with_frames(self, tmp_path):
+    def test_peak_memory_does_not_grow_with_frames(self, tmp_path, monkeypatch):
+        # inline: a frame in flight on the writer thread is not what this measures
+        cpus(monkeypatch, 1)
+
         def peak(frames):
             path = write_config(tmp_path, evolve_2d_config(64, frames), f"{frames}.json")
             tracemalloc.start()
@@ -593,8 +664,8 @@ class TestFramesWriterThread:
 
     @pytest.fixture
     def cfg_path(self, tmp_path):
-        for rows in (cli.WRITER_BLOCK_ROWS, cli.FRAME_BLOCK_ROWS):
-            assert (self.BLOCKS - 1) * rows < 72 * 72 < self.BLOCKS * rows
+        rows = cli.FRAME_BLOCK_ROWS
+        assert (self.BLOCKS - 1) * rows < 72 * 72 < self.BLOCKS * rows
         return write_config(tmp_path, evolve_2d_config(72, frames=4))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -604,7 +675,7 @@ class TestFramesWriterThread:
         rows = on_text(monkeypatch, lambda thread, n: threads.append(thread))
         cpus(monkeypatch, 2)
         cli.write_frames_csv(tmp_path / "frames.csv", traj)
-        assert rows == [cli.WRITER_BLOCK_ROWS, 72 * 72 - cli.WRITER_BLOCK_ROWS] * 3
+        assert rows == [cli.FRAME_BLOCK_ROWS, 72 * 72 - cli.FRAME_BLOCK_ROWS] * 3
         assert threading.main_thread() not in threads
         assert (tmp_path / "frames.csv").read_bytes() == reference_frames_csv(traj)
 

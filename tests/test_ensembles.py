@@ -44,6 +44,10 @@ class TestMixedState:
         with pytest.raises(ValueError, match="shape"):
             MixedState(np.array([1.0]), [psi], fine)
 
+    def test_length_mismatch_refused(self, grid, pair):
+        with pytest.raises(ValueError, match="equal length"):
+            MixedState(np.array([1.0]), list(pair), grid)
+
     def test_normalization_validation(self, grid, pair):
         with pytest.raises(ValueError, match="normalized"):
             MixedState(np.array([0.5, 0.5]), [pair[0], 1.1 * pair[1]], grid)
@@ -173,6 +177,14 @@ class TestEquivalentDecompositions:
             ng.equivalent_decompositions(pair[0], scale * pair[1], angle, grid)
 
 
+def test_rotated_decomposition_whose_kernel_deviates_is_refused(grid, pair, monkeypatch):
+    # the rotation keeps the kernel to rounding, so only a faulty distance
+    # reaches the check
+    monkeypatch.setattr(ensembles, "kernel_distance", lambda a, b: 1e-6)
+    with pytest.raises(InvariantViolation, match="rotated decomposition kernel"):
+        ng.equivalent_decompositions(*pair, 0.3, grid)
+
+
 class TestMixedDivergence:
     cfg = SimulationConfig(dt=1e-3, t_final=0.05, output_every=10)
 
@@ -295,6 +307,10 @@ class TestTensorProduct:
     def test_shape_mismatch_rejected(self, grid):
         with pytest.raises(ValueError):
             ng.tensor_product(np.ones(8, complex), np.ones(16, complex))
+
+    def test_product_grid_refuses_a_2d_grid(self):
+        with pytest.raises(ValueError, match="1D grid"):
+            ng.product_grid(ng.make_grid(2, 16, 10.0))
 
     def test_marginal_refuses_an_axis_other_than_0_or_1(self, grid):
         psi = ng.tensor_product(ng.states.gaussian(grid), ng.states.gaussian(grid))

@@ -34,6 +34,13 @@ class TestHydrodynamicMap:
         back = coefficients_from_hydrodynamic(*hydrodynamic_coefficients(c))
         assert np.allclose(back.as_array(), c.as_array(), atol=1e-14)
 
+    @pytest.mark.parametrize("index", [0, 1, 4])
+    def test_rejects_current_terms_with_zero_nu1(self, index):
+        a, b = np.zeros(4), np.zeros(8)
+        b[index] = 0.1  # a b entry that only a current term sets
+        with pytest.raises(ValueError, match="current-based terms"):
+            coefficients_from_hydrodynamic(a, b)
+
     def test_rejects_non_family_pair(self):
         a = np.array([1.0, 3.0, 0.0, 0.0])  # a2 != 2 a1
         b = np.zeros(8)
@@ -107,6 +114,13 @@ class TestCommutingResidual:
                                     packet64, grid64, cfg, refine=False)
         assert rep.residual_sup <= 1e-12
         assert rep.residual_series[0][0] == 0.0
+
+    def test_identity_gauge_refines_to_infinite_order(self, grid64, packet64):
+        cfg = SimulationConfig(dt=5e-3, t_final=0.05, output_every=5)
+        rep = ng.commuting_residual(ng.identity(), NLSECoefficients(nu1=-0.5, nu2=0.05),
+                                    packet64, grid64, cfg)
+        assert rep.residual_sup == rep.residual_sup_fine == 0.0
+        assert rep.refinement_order == float("inf")
 
     def test_series_starts_at_zero_residual(self, grid64, packet64):
         cfg = SimulationConfig(dt=5e-3, t_final=0.05, output_every=5)

@@ -111,6 +111,36 @@ def test_finite_arguments_that_overflow_are_refused_without_a_warning(grid, buil
             build(grid)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("phase_amp", [1e300, 1e308])
+def test_random_nodeless_field_refuses_a_phase_too_coarse_to_unwrap(grid, phase_amp, seed):
+    # whether the phase overflows or not, at every draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phase_amp"):
+            ng.states.random_nodeless_field(grid, np.random.default_rng(seed),
+                                            phase_amp=phase_amp)
+
+
+@pytest.mark.parametrize("phase_amp", [0.4, 1e15])
+def test_random_nodeless_field_takes_a_phase_resolved_within_a_turn(grid, phase_amp):
+    for seed in range(6):
+        psi = ng.states.random_nodeless_field(grid, np.random.default_rng(seed),
+                                              phase_amp=phase_amp)
+        assert np.all(np.isfinite(psi))
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0])
+def test_gaussian_refuses_a_width_that_is_not_positive(grid, width):
+    with pytest.raises(ValueError, match="gaussian width must be positive"):
+        ng.states.gaussian(grid, width=width)
+
+
+def test_free_gaussian_exact_is_a_1d_oracle():
+    with pytest.raises(ValueError, match="1D oracle"):
+        ng.states.free_gaussian_exact(ng.make_grid(2, 16, 10.0), 0.1, 5.0, 1.0)
+
+
 def test_harmonic_potential_refuses_an_omega_whose_field_overflows(grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused without an overflow warning
